@@ -59,6 +59,7 @@ from .common import (
     accepted_set,
     classify_structure,
     cp_exact_oracle,
+    cp_for_regime,
     cp_no_bonus,
     cp_res,
     cp_subres,
@@ -96,7 +97,7 @@ __all__ = [
     # common
     "StructureKind", "StructureClass", "CpSolveReport", "accepted_set",
     "classify_structure", "structure_of", "cp_unres", "cp_subres", "cp_res",
-    "cp_no_bonus", "cp_exact_oracle",
+    "cp_no_bonus", "cp_exact_oracle", "cp_for_regime",
     # comparisons
     "PobInstance", "PoaCertificate", "build_pob_instance", "pob_ratio",
     "poa_constants", "poa_audit",

@@ -182,15 +182,22 @@ def invert_bm(r: float, M: int, m: int, iterations: int = 64) -> float:
 
 
 def translate(profile: AbilityProfile, policy: BonusPolicy) -> list[WorkerProfile]:
-    """Turn abilities into worker qualities under the given bonus policy."""
-    workers = []
-    for i, (s, c) in enumerate(zip(profile.abilities, profile.costs), start=1):
-        if policy.kind == "threshold":
-            r = bm(s, policy.M, policy.m)
-        else:
-            r = s
-        workers.append(WorkerProfile(quality=r, cost=c, id=i))
-    return workers
+    """Turn abilities into worker qualities under the given bonus policy.
+
+    Each worker keeps its ability, so utilities measured in abilities need
+    not invert the quality back.
+    """
+    abilities = np.array(profile.abilities, dtype=float)
+    if policy.kind == "threshold":
+        qualities = bm_array(abilities, policy.M, policy.m)
+    else:
+        qualities = abilities
+    return [
+        WorkerProfile(quality=r, cost=c, id=i, ability=s)
+        for i, (r, s, c) in enumerate(
+            zip(qualities.tolist(), profile.abilities, profile.costs), start=1
+        )
+    ]
 
 
 def _logistic_ability(c: np.ndarray, slope: float) -> np.ndarray:

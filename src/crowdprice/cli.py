@@ -17,13 +17,7 @@ from pathlib import Path
 import click
 
 from .bonus import bm, invert_bm
-from .common import (
-    cp_exact_oracle,
-    cp_no_bonus,
-    cp_res,
-    cp_subres,
-    cp_unres,
-)
+from .common import cp_exact_oracle, cp_for_regime, cp_no_bonus, cp_res, cp_subres, cp_unres
 from .comparisons import build_pob_instance, poa_audit, poa_constants, pob_ratio
 from .errors import ConfigError, InvariantBreach, SizeError
 from .personalized import GkpInstance, modified_greedy, solve_gkp_exact, solve_gkp_relaxed
@@ -122,6 +116,13 @@ def pp_command(workers_path: str, budget: float, utility_spec: str, mode: str) -
     _emit(_selection_jsonable(selection, workers, mode))
 
 
+_REGIME_NAMES = {
+    Regime.EFFORT_UNRESPONSIVE: "unres",
+    Regime.EFFORT_SUBRESPONSIVE: "subres",
+    Regime.EFFORT_RESPONSIVE: "res",
+}
+
+
 @main.command("cp")
 @click.option("--workers", "workers_path", required=True, type=click.Path(exists=True))
 @click.option("--budget", required=True, type=float)
@@ -152,21 +153,11 @@ def cp_command(
         report = cp_no_bonus(workers, budget, utility)
     elif oracle:
         report = cp_exact_oracle(workers, budget, utility, max_n=oracle_max_n)
+    elif regime == "auto":
+        fitted = empirical_regime(workers) if len(workers) >= 2 else Regime.UNCLASSIFIED
+        report = cp_for_regime(workers, budget, utility, fitted, oracle_max_n)
+        regime = _REGIME_NAMES.get(fitted, fitted.value)
     else:
-        if regime == "auto":
-            fitted = empirical_regime(workers) if len(workers) >= 2 else Regime.UNCLASSIFIED
-            dispatch = {
-                Regime.EFFORT_UNRESPONSIVE: "unres",
-                Regime.EFFORT_SUBRESPONSIVE: "subres",
-                Regime.EFFORT_RESPONSIVE: "res",
-            }
-            if fitted not in dispatch:
-                report = cp_exact_oracle(workers, budget, utility, max_n=oracle_max_n)
-                payload = _cp_jsonable(report)
-                payload["regime"] = fitted.value
-                _emit(payload)
-                return
-            regime = dispatch[fitted]
         solver = {"unres": cp_unres, "subres": cp_subres, "res": cp_res}[regime]
         report = solver(workers, budget, utility)
     payload = _cp_jsonable(report)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import SizeError
 from .halfplane import HalfPlane, feasible_point, repair_strict
-from .utilities import UtilityFunction
+from .utilities import MaskKernel, UtilityFunction
 from .workers import (
     CommonPolicy,
     Regime,
@@ -40,6 +41,7 @@ __all__ = [
     "cp_res",
     "cp_no_bonus",
     "cp_exact_oracle",
+    "cp_for_regime",
     "make_report",
 ]
 
@@ -157,19 +159,37 @@ def structure_of(workers: Sequence[WorkerProfile], accepted: Sequence[int]) -> S
 
 
 def make_report(
-    workers: Sequence[WorkerProfile], utility: UtilityFunction, p: float, q: float
+    workers: Sequence[WorkerProfile],
+    utility: UtilityFunction,
+    p: float,
+    q: float,
+    kernel: MaskKernel | None = None,
 ) -> CpSolveReport:
-    """Evaluate a policy honestly: accepted set, spend, utility, structure."""
+    """Evaluate a policy honestly: accepted set, spend, utility, structure.
+
+    ``kernel`` is ``utility.bind(workers)``, for callers that report many
+    policies on one worker list; it is bound here when not given.
+    """
     accepted, spent = accepted_set(workers, (p, q))
-    chosen = set(accepted)
-    effective = [w.quality if i in chosen else 0.0 for i, w in enumerate(workers)]
+    mask = np.zeros((1, len(workers)), dtype=bool)
+    mask[0, list(accepted)] = True
+    if kernel is None:
+        kernel = utility.bind(workers)
     return CpSolveReport(
         policy=CommonPolicy(base=p, bonus=q),
         accepted=accepted,
         spent=spent,
-        utility_value=utility.evaluate(effective),
+        utility_value=float(kernel(mask)[0]),
         structure=structure_of(workers, accepted),
     )
+
+
+ReportAt = Callable[[float, float], CpSolveReport]
+
+
+def _reporter(workers: Sequence[WorkerProfile], utility: UtilityFunction) -> ReportAt:
+    """``make_report`` at (p, q) on a fixed worker list, bound once."""
+    return partial(make_report, workers, utility, kernel=utility.bind(workers))
 
 
 def _better(a: CpSolveReport, b: CpSolveReport) -> bool:
@@ -212,9 +232,10 @@ def cp_unres(
             # makes sure the worker's own threshold actually recruits her
             bonuses.add(q)
             bonuses.add(q * (1.0 + 5e-16))
+    report_at = _reporter(workers, utility)
     best: CpSolveReport | None = None
     for q in sorted(bonuses):
-        report = make_report(workers, utility, 0.0, q)
+        report = report_at(0.0, q)
         if report.spent <= budget and (best is None or _better(report, best)):
             best = report
     assert best is not None  # q = 0 spends nothing
@@ -262,7 +283,7 @@ def _blocking_rows(
 
 def _candidate(
     workers: Sequence[WorkerProfile],
-    utility: UtilityFunction,
+    report_at: ReportAt,
     budget: float,
     rows: list[HalfPlane],
     scale: float,
@@ -306,7 +327,7 @@ def _candidate(
 
     best: CpSolveReport | None = None
     for _, p, q in by_set.values():
-        report = make_report(workers, utility, p, q)
+        report = report_at(p, q)
         if best is None or _better(report, best):
             best = report
     return best
@@ -339,10 +360,11 @@ def cp_subres(
     c = [workers[i].cost for i in order]
     scale = max([1.0, budget] + c)
 
-    best = make_report(workers, utility, 0.0, 0.0)
+    report_at = _reporter(workers, utility)
+    best = report_at(0.0, 0.0)
 
     def attempt(lo: int, hi: int) -> CpSolveReport | None:
-        return _candidate(workers, utility, budget, _picking_rows(r, c, lo, hi, budget), scale)
+        return _candidate(workers, report_at, budget, _picking_rows(r, c, lo, hi, budget), scale)
 
     for hi in range(n, 0, -1):
         if mode == "linear":
@@ -400,17 +422,18 @@ def cp_res(
     c = [workers[i].cost for i in order]
     scale = max([1.0, budget] + c)
 
-    best = make_report(workers, utility, 0.0, 0.0)
+    report_at = _reporter(workers, utility)
+    best = report_at(0.0, 0.0)
 
     # block nobody: everyone accepts within budget
     rows = [HalfPlane(-1.0, -ri, -ci) for ri, ci in zip(r, c)]
     rows.append(HalfPlane(float(n), math.fsum(r), budget))
-    report = _candidate(workers, utility, budget, rows, scale)
+    report = _candidate(workers, report_at, budget, rows, scale)
     if report is not None and _better(report, best):
         best = report
 
     def attempt(lo: int, hi: int) -> CpSolveReport | None:
-        return _candidate(workers, utility, budget, _blocking_rows(r, c, lo, hi, budget), scale)
+        return _candidate(workers, report_at, budget, _blocking_rows(r, c, lo, hi, budget), scale)
 
     for lo in range(1, n + 1):
         if mode == "linear":
@@ -452,15 +475,44 @@ def cp_no_bonus(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     candidates = sorted({0.0} | {w.cost for w in workers})
+    report_at = _reporter(workers, utility)
     best: CpSolveReport | None = None
     for p in candidates:
-        report = make_report(workers, utility, p, 0.0)
+        report = report_at(p, 0.0)
         if report.spent > budget:
             continue
         if best is None or (report.utility_value, -p) > (best.utility_value, -best.policy.base):
             best = report
     assert best is not None  # p = 0 spends nothing
     return best
+
+
+def cp_for_regime(
+    workers: Sequence[WorkerProfile],
+    budget: float,
+    utility: UtilityFunction,
+    regime: Regime,
+    oracle_max_n: int = ORACLE_LIMIT,
+) -> CpSolveReport:
+    """Common pricing by the solver of the profile's regime.
+
+    An unclassified profile goes to the exact oracle when it has at most
+    ``oracle_max_n`` workers, and otherwise to the best of the three
+    regime solvers.
+    """
+    solvers = {
+        Regime.EFFORT_UNRESPONSIVE: cp_unres,
+        Regime.EFFORT_SUBRESPONSIVE: cp_subres,
+        Regime.EFFORT_RESPONSIVE: cp_res,
+    }
+    if regime in solvers:
+        return solvers[regime](workers, budget, utility, diagnostics=False)
+    if len(workers) <= oracle_max_n:
+        return cp_exact_oracle(workers, budget, utility, max_n=oracle_max_n)
+    candidates = [
+        solve(workers, budget, utility, diagnostics=False) for solve in solvers.values()
+    ]
+    return max(candidates, key=lambda rep: rep.utility_value)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +589,14 @@ def cp_exact_oracle(
     masks = np.array(
         [np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n).astype(bool) for key in by_mask]
     )
-    values = utility.evaluate_many(masks * r)
+    kernel = utility.bind(workers)
+    values = kernel(masks)
     ranked = sorted(
         zip(values, (v for v in by_mask.values())),
         key=lambda item: (-item[0], item[1]),
     )
     for _, (_, p, q) in ranked:
-        report = make_report(workers, utility, p, q)
+        report = make_report(workers, utility, p, q, kernel=kernel)
         if report.spent <= budget:
             return report
-    return make_report(workers, utility, 0.0, 0.0)
+    return make_report(workers, utility, 0.0, 0.0, kernel=kernel)

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .common import cp_exact_oracle, cp_no_bonus
 from .errors import InvariantBreach
 from .personalized import GkpInstance, solve_gkp_exact
@@ -163,13 +165,11 @@ def poa_audit(
     instance = GkpInstance(workers=tuple(workers), budget=budget, utility=utility)
     u_pp = solve_gkp_exact(instance).utility_value
 
-    n = len(workers)
-    for i, w in enumerate(workers):
+    singleton_values = instance.kernel(np.eye(len(workers), dtype=bool))
+    for w, value in zip(workers, singleton_values):
         if w.cost > budget:
             continue
-        singleton = [0.0] * n
-        singleton[i] = w.quality
-        if u_pp < 2.0 * utility.evaluate(singleton):
+        if u_pp < 2.0 * value:
             return PoaAuditResult(
                 certificate=None,
                 skipped=True,

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantBreach, SizeError
-from .utilities import UtilityFunction
+from .utilities import MaskKernel, UtilityFunction
 from .workers import PersonalizedPolicy, WorkerProfile, bang_per_buck, sort_by_bang_per_buck
 
 __all__ = [
@@ -54,6 +55,11 @@ class GkpInstance:
     def costs(self) -> np.ndarray:
         return np.array([w.cost for w in self.workers])
 
+    @cached_property
+    def kernel(self) -> MaskKernel:
+        """The utility bound to this worker list: 0/1 mask rows -> values."""
+        return self.utility.bind(self.workers)
+
 
 @dataclass(frozen=True)
 class Selection:
@@ -80,8 +86,8 @@ class RelaxedSolution:
 def _make_selection(instance: GkpInstance, x: Sequence[bool]) -> Selection:
     x = tuple(bool(v) for v in x)
     spent = math.fsum(w.cost for w, xi in zip(instance.workers, x) if xi)
-    effective = [w.quality if xi else 0.0 for w, xi in zip(instance.workers, x)]
-    return Selection(x=x, utility_value=instance.utility.evaluate(effective), spent=spent)
+    value = float(instance.kernel(np.array(x, dtype=bool).reshape(1, -1))[0])
+    return Selection(x=x, utility_value=value, spent=spent)
 
 
 def modified_greedy(
@@ -123,10 +129,9 @@ def modified_greedy(
 
     best = greedy_sel
     if affordable:
-        rows = np.zeros((len(affordable), n))
-        for t, i in enumerate(affordable):
-            rows[t, i] = workers[i].quality
-        singleton_values = instance.utility.evaluate_many(rows)
+        singletons = np.zeros((len(affordable), n), dtype=bool)
+        singletons[np.arange(len(affordable)), affordable] = True
+        singleton_values = instance.kernel(singletons)
         # smallest worker index wins ties, for determinism
         by_index = sorted(range(len(affordable)), key=lambda t: affordable[t])
         best_t = max(by_index, key=lambda t: (singleton_values[t], -affordable[t]))
@@ -176,7 +181,6 @@ def _exact_by_enumeration(instance: GkpInstance) -> Selection:
     n = len(workers)
     budget = instance.budget
     costs = instance.costs
-    qualities = instance.qualities
 
     if n == 0:
         return _make_selection(instance, [])
@@ -192,7 +196,9 @@ def _exact_by_enumeration(instance: GkpInstance) -> Selection:
     for start in range(0, 1 << n, chunk):
         keys = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
         x_rows = ((keys[:, None] >> shifts[None, :]) & 1).astype(bool)
-        totals = x_rows @ costs
+        # a plain masked sum, not a BLAS matvec: rounding only matters
+        # inside the margin, where rows are rechecked with fsum below
+        totals = np.where(x_rows, costs, 0.0).sum(axis=1)
         feasible = totals <= budget - margin
         borderline = np.flatnonzero(~feasible & (totals <= budget + margin))
         for t in borderline:
@@ -201,8 +207,7 @@ def _exact_by_enumeration(instance: GkpInstance) -> Selection:
                 feasible[t] = True
         if not feasible.any():
             continue
-        rows = x_rows[feasible]
-        values = instance.utility.evaluate_many(rows * qualities)
+        values = instance.kernel(x_rows[feasible])
         t = int(np.argmax(values))
         if values[t] > best_value:
             best_value = float(values[t])

@@ -25,14 +25,7 @@ from .bonus import (
     policy_from_config,
     translate,
 )
-from .common import (
-    CpSolveReport,
-    cp_exact_oracle,
-    cp_no_bonus,
-    cp_res,
-    cp_subres,
-    cp_unres,
-)
+from .common import CpSolveReport, cp_exact_oracle, cp_for_regime, cp_no_bonus
 from .errors import ConfigError, InvariantBreach
 from .personalized import (
     ENUMERATION_LIMIT,
@@ -236,31 +229,12 @@ def _solve_cp(
     utility: UtilityFunction,
     regime: Regime,
 ) -> CpSolveReport:
-    budget = scenario.budget
-    n = len(workers)
-    oracle_ok = n <= scenario.oracle_max_n
-
-    def regime_solve() -> CpSolveReport:
-        if regime is Regime.EFFORT_UNRESPONSIVE:
-            return cp_unres(workers, budget, utility, diagnostics=False)
-        if regime is Regime.EFFORT_SUBRESPONSIVE:
-            return cp_subres(workers, budget, utility, diagnostics=False)
-        if regime is Regime.EFFORT_RESPONSIVE:
-            return cp_res(workers, budget, utility, diagnostics=False)
-        if oracle_ok:
-            return cp_exact_oracle(workers, budget, utility, max_n=scenario.oracle_max_n)
-        candidates = [
-            cp_unres(workers, budget, utility, diagnostics=False),
-            cp_subres(workers, budget, utility, diagnostics=False),
-            cp_res(workers, budget, utility, diagnostics=False),
-        ]
-        return max(candidates, key=lambda rep: rep.utility_value)
-
+    budget, max_n = scenario.budget, scenario.oracle_max_n
     if scenario.cp_mode == "oracle":
-        return cp_exact_oracle(workers, budget, utility, max_n=scenario.oracle_max_n)
-    report = regime_solve()
-    if scenario.cp_mode == "auto" and scenario.cross_check and oracle_ok:
-        oracle = cp_exact_oracle(workers, budget, utility, max_n=scenario.oracle_max_n)
+        return cp_exact_oracle(workers, budget, utility, max_n=max_n)
+    report = cp_for_regime(workers, budget, utility, regime, max_n)
+    if scenario.cp_mode == "auto" and scenario.cross_check and len(workers) <= max_n:
+        oracle = cp_exact_oracle(workers, budget, utility, max_n=max_n)
         if oracle.utility_value > report.utility_value + 1e-9:
             raise InvariantBreach(
                 f"regime solver ({regime.value}) returned {report.utility_value}, "

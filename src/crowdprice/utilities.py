@@ -17,6 +17,7 @@ import numpy as np
 
 from .bonus import invert_bm_array
 from .errors import SizeError
+from .workers import WorkerProfile
 
 __all__ = [
     "UtilityFunction",
@@ -38,6 +39,8 @@ __all__ = [
     "audit_declared_flags",
 ]
 
+MaskKernel = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class UtilityFlags:
@@ -55,13 +58,17 @@ class UtilityFunction:
     ``evaluate`` takes one effective-quality sequence; ``evaluate_many``
     takes a 2-D array of them (one per row) and must agree bitwise with
     ``evaluate`` on each row, so exact solvers and single evaluations can
-    be compared without float slack.
+    be compared without float slack.  Solvers that pick subsets of a fixed
+    worker list score them through :meth:`bind` instead.
     """
 
     name: str
     flags: UtilityFlags
     _batch: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict, compare=False)
+    _bind: Callable[[Sequence[WorkerProfile]], MaskKernel] | None = field(
+        default=None, compare=False
+    )
 
     def evaluate(self, effective_qualities: Sequence[float]) -> float:
         y = np.atleast_2d(np.asarray(effective_qualities, dtype=float))
@@ -69,6 +76,18 @@ class UtilityFunction:
 
     def evaluate_many(self, rows: np.ndarray) -> np.ndarray:
         return self._batch(np.asarray(rows, dtype=float))
+
+    def bind(self, workers: Sequence[WorkerProfile]) -> MaskKernel:
+        """Fix the worker list; return a kernel scoring 0/1 mask rows.
+
+        The kernel takes a (k, n) array whose row t marks the recruited
+        workers of subset t and returns the k utilities.  By default it
+        scores ``mask * quality`` with :meth:`evaluate_many`, bit for bit.
+        """
+        if self._bind is not None:
+            return self._bind(workers)
+        qualities = np.array([w.quality for w in workers], dtype=float)
+        return lambda masks: self._batch(np.asarray(masks, dtype=bool) * qualities)
 
     def __call__(self, effective_qualities: Sequence[float]) -> float:
         return self.evaluate(effective_qualities)
@@ -106,6 +125,9 @@ def make_typo(M: int, m: int | None = 1) -> UtilityFunction:
     Each effective quality is mapped back to a correction ability through
     the inverse of the m-threshold qualification; ``m=None`` treats
     effective qualities as abilities directly (linear qualification).
+    A bound kernel (:meth:`UtilityFunction.bind`) scores workers that
+    carry their ability from that ability, M * (1 - prod(1 - s_i)), with
+    no inversion; that also stays exact where b_m(s) rounds to 1.
     Subadditivity and Schur-convexity are declared for m = 1 only; for
     m >= 2 they are unclaimed and left to empirical audits.
     """
@@ -114,12 +136,36 @@ def make_typo(M: int, m: int | None = 1) -> UtilityFunction:
     if m is not None and not (1 <= m <= M):
         raise ValueError(f"need 1 <= m <= M, got m={m}")
 
-    def batch(rows: np.ndarray) -> np.ndarray:
-        if rows.size and (np.min(rows) < 0.0 or np.max(rows) > 1.0):
+    def check_domain(values: np.ndarray) -> None:
+        if values.size and (np.min(values) < 0.0 or np.max(values) > 1.0):
             raise ValueError("typo utility is defined on effective qualities in [0,1]")
+
+    def batch(rows: np.ndarray) -> np.ndarray:
+        check_domain(rows)
         s = rows if m is None else _invert_rows(rows, M, m)
         factors = np.sort(1.0 - s, axis=1)
         return M * (1.0 - np.prod(factors, axis=1))
+
+    def bind(workers: Sequence[WorkerProfile]) -> MaskKernel:
+        # s is each worker's ability where known; the other qualities are
+        # inverted together, once.  Presorting the miss factors 1 - s makes
+        # a masked product multiply in the order batch's row sort does
+        # (skipped workers contribute exact 1.0s), so both agree bitwise.
+        s = np.array([0.0 if w.ability is None else w.ability for w in workers])
+        unknown = [i for i, w in enumerate(workers) if w.ability is None]
+        if unknown:
+            r = np.array([workers[i].quality for i in unknown])
+            check_domain(r)
+            s[unknown] = r if m is None else invert_bm_array(r, M, m)
+        f = 1.0 - s
+        order = np.argsort(f, kind="stable")
+        f_sorted = f[order]
+
+        def kernel(masks: np.ndarray) -> np.ndarray:
+            masks = np.asarray(masks, dtype=bool)
+            return M * (1.0 - np.prod(np.where(masks[:, order], f_sorted, 1.0), axis=1))
+
+        return kernel
 
     claimed = m == 1 or m is None
     return UtilityFunction(
@@ -127,6 +173,7 @@ def make_typo(M: int, m: int | None = 1) -> UtilityFunction:
         flags=UtilityFlags(subadditive=claimed, schur_convex=claimed),
         _batch=batch,
         params={"M": M, "m": m},
+        _bind=bind,
     )
 
 

@@ -48,17 +48,23 @@ class WorkerProfile:
     ``cost`` the opportunity cost of doing the task, in money units.
     Qualities above 1 are allowed by default (some worst-case instances
     need them); pass ``strict=True`` to loaders to enforce quality <= 1.
+    ``ability`` is the per-subtask success probability s the quality was
+    derived from, when known (:func:`crowdprice.bonus.translate` sets it);
+    the typo utility scores such workers from s directly.
     """
 
     quality: float
     cost: float
     id: int | str = 0
+    ability: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.quality >= 0.0):
             raise ValueError(f"quality must be >= 0, got {self.quality!r}")
         if not (self.cost >= 0.0):
             raise ValueError(f"cost must be >= 0, got {self.cost!r}")
+        if self.ability is not None and not (0.0 <= self.ability <= 1.0):
+            raise ValueError(f"ability must be in [0,1], got {self.ability!r}")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,15 @@ class TestTranslate:
         sigma = np.sqrt(estimate * (1 - estimate) / 1_000_000)
         assert abs(w.quality - estimate) <= 3 * sigma
 
+    def test_qualities_match_scalar_bm_and_keep_abilities(self):
+        profile = generate_population(40, seed=3)
+        for policy in (threshold_policy(1, 25), threshold_policy(17, 25), linear_policy(25)):
+            workers = translate(profile, policy)
+            for w, s in zip(workers, profile.abilities):
+                expected = s if policy.kind == "linear" else bm(s, 25, policy.m)
+                assert w.quality == expected  # bitwise: bm_array is elementwise
+                assert w.ability == s
+
     def test_threshold_preserves_cost_quality_monotonicity(self):
         costs = np.linspace(0.05, 0.95, 12)
         abilities = 1.0 / (1.0 + np.exp(-3.0 * costs))

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from crowdprice import load_workers, make_additive
 from crowdprice.cli import main
+from crowdprice.scenario import Scenario, _solve_cp
+from crowdprice.workers import Regime, empirical_regime
 
 WORKERS_CSV = "id,quality,cost\n1,0.9,0.3\n2,0.5,0.25\n3,0.8,0.5\n"
 
@@ -67,6 +71,26 @@ class TestCpCommand:
         path.write_text("id,quality,cost\n" + rows + "\n", encoding="utf-8")
         result = runner.invoke(main, ["cp", "--workers", str(path), "--budget", "1", "--oracle"])
         assert result.exit_code == 3
+
+    def test_auto_solves_large_unclassified_profile(self, runner, tmp_path):
+        # too many workers for the oracle: the shared dispatch falls back
+        # to the best regime solver, as the scenario runner does
+        rng = np.random.default_rng(7)
+        rows = "\n".join(f"{i},{rng.uniform()!r},{rng.uniform()!r}" for i in range(1, 21))
+        path = tmp_path / "unclassified.csv"
+        path.write_text("id,quality,cost\n" + rows + "\n", encoding="utf-8")
+        workers = load_workers(path)
+        assert empirical_regime(workers) is Regime.UNCLASSIFIED
+        result = runner.invoke(main, ["cp", "--workers", str(path), "--budget", "2.0"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["regime"] == "unclassified"
+        settings = Scenario(
+            population_file=None, generator={}, utility={}, bonus_policies=(), budget=2.0, seed=0
+        )
+        report = _solve_cp(settings, workers, make_additive(), Regime.UNCLASSIFIED)
+        assert payload["utility"] == report.utility_value
+        assert payload["accepted"] == list(report.accepted)
 
     def test_regime_choice(self, runner, workers_file):
         result = runner.invoke(

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import pytest
 
@@ -97,6 +99,34 @@ class TestRunScenario:
         cfg["population"] = {"file": str(path)}
         result = run_scenario(Scenario.from_config(cfg))
         assert len(result.points[0].workers) == 3
+
+
+class TestThresholdOne:
+    """At m = 1 the quality b_1(s) = 1 - (1 - s)^25 rounds to 1.0 for
+    abilities above ~0.78, so utilities must be scored from abilities."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_utilities_come_from_abilities(self, seed):
+        M, budget = 25, 1.5
+        cfg = small_config(n=6, seed=seed, budget=budget)
+        cfg["bonus_policies"] = [{"kind": "threshold", "m": 1, "M": M}]
+        (pt,) = run_scenario(Scenario.from_config(cfg)).points
+        s = pt.abilities
+        costs = [w.cost for w in pt.workers]
+
+        def typos(chosen):
+            return M * (1.0 - math.prod(1.0 - s[i] for i in chosen))
+
+        best = max(
+            typos(chosen)
+            for k in range(len(s) + 1)
+            for chosen in itertools.combinations(range(len(s)), k)
+            if math.fsum(costs[i] for i in chosen) <= budget
+        )
+        assert pt.pp.utility_value == pytest.approx(typos(pt.pp.chosen), abs=1e-12)
+        assert pt.pp.utility_value == pytest.approx(best, abs=1e-12)
+        assert pt.cp.utility_value == pytest.approx(typos(pt.cp.accepted), abs=1e-12)
+        assert pt.cp.utility_value <= pt.pp.utility_value + 1e-12
 
 
 class TestEmitPlotData:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crowdprice import (
+    WorkerProfile,
     additive_utility,
     binary_labeling_utility,
     bm,
@@ -14,6 +15,7 @@ from crowdprice import (
     utility_from_config,
     weakly_majorizes,
 )
+from crowdprice.bonus import generate_population, linear_policy, threshold_policy, translate
 from crowdprice.errors import SizeError
 from crowdprice.utilities import (
     UtilityFlags,
@@ -161,3 +163,59 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             utility_from_config({"kind": "mystery"})
+
+
+def all_masks(n):
+    keys = np.arange(1 << n)
+    return ((keys[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+
+
+def plain_workers(n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        WorkerProfile(float(r), float(c), i + 1)
+        for i, (r, c) in enumerate(zip(rng.uniform(0, 1, n), rng.uniform(0.05, 1, n)))
+    ]
+
+
+class TestBind:
+    """A bound kernel scores 0/1 masks exactly as ``evaluate_many`` scores
+    the matching effective-quality rows, bit for bit."""
+
+    def assert_bitwise(self, utility, workers):
+        masks = all_masks(len(workers))
+        r = np.array([w.quality for w in workers])
+        assert np.array_equal(utility.bind(workers)(masks), utility.evaluate_many(masks * r))
+
+    @pytest.mark.parametrize("m", [1, 13, 20, 25, None])
+    def test_typo_without_abilities(self, m):
+        self.assert_bitwise(make_typo(25, m), plain_workers(12, seed=3))
+
+    def test_additive(self):
+        self.assert_bitwise(make_additive(), plain_workers(12, seed=4))
+
+    def test_binary_labeling(self):
+        self.assert_bitwise(make_binary_labeling(), plain_workers(8, seed=5))
+
+    @pytest.mark.parametrize("m", [1, 13, 20, 25, None])
+    def test_typo_scores_carried_abilities(self, m):
+        profile = generate_population(10, seed=11)
+        policy = linear_policy(25) if m is None else threshold_policy(m, 25)
+        workers = translate(profile, policy)
+        masks = all_masks(len(workers))
+        values = make_typo(25, m).bind(workers)(masks)
+        s = np.array(profile.abilities)
+        expected = [25 * (1 - np.prod(1 - s[mask])) for mask in masks]
+        assert np.max(np.abs(values - expected)) <= 1e-12
+
+    def test_ability_beats_a_saturated_quality(self):
+        # b_1(0.9) rounds to 1.0, whose inverse is ability 1; the carried
+        # ability keeps the true value
+        assert bm(0.9, 25, 1) == 1.0
+        kernel = make_typo(25, 1).bind([WorkerProfile(1.0, 0.5, 1, ability=0.9)])
+        values = kernel(np.array([[True], [False]]))
+        assert values[0] == pytest.approx(25 * 0.9, abs=1e-12) and values[1] == 0.0
+
+    def test_typo_domain_checked_when_bound(self):
+        with pytest.raises(ValueError):
+            make_typo(25, 1).bind([WorkerProfile(1.2, 0.5, 1)])
