@@ -17,7 +17,15 @@ from pathlib import Path
 import click
 
 from .bonus import bm, invert_bm
-from .common import cp_exact_oracle, cp_for_regime, cp_no_bonus, cp_res, cp_subres, cp_unres
+from .common import (
+    ORACLE_LIMIT,
+    cp_exact_oracle,
+    cp_for_regime,
+    cp_no_bonus,
+    cp_res,
+    cp_subres,
+    cp_unres,
+)
 from .comparisons import build_pob_instance, poa_audit, poa_constants, pob_ratio
 from .errors import ConfigError, InvariantBreach, SizeError
 from .personalized import GkpInstance, modified_greedy, solve_gkp_exact, solve_gkp_relaxed
@@ -135,7 +143,7 @@ _REGIME_NAMES = {
 )
 @click.option("--oracle", is_flag=True, help="Use the exact (p,q)-plane oracle.")
 @click.option("--no-bonus", "no_bonus", is_flag=True, help="Force the bonus to zero.")
-@click.option("--oracle-max-n", default=14, show_default=True, type=int)
+@click.option("--oracle-max-n", default=ORACLE_LIMIT, show_default=True, type=int)
 @_wrap
 def cp_command(
     workers_path: str,
@@ -190,7 +198,7 @@ def pob_command(n: int, c: float, eps: float) -> None:
 @click.option("--workers", "workers_path", required=True, type=click.Path(exists=True))
 @click.option("--budget", required=True, type=float)
 @click.option("--utility", "utility_spec", default="additive", show_default=True)
-@click.option("--oracle-max-n", default=14, show_default=True, type=int)
+@click.option("--oracle-max-n", default=ORACLE_LIMIT, show_default=True, type=int)
 @_wrap
 def poa_command(workers_path: str, budget: float, utility_spec: str, oracle_max_n: int) -> None:
     """Price-of-agnosticity certificate and bound check."""

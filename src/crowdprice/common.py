@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 14
+_ORACLE_CHUNK_CELLS = 1 << 16
 
 
 class StructureKind(Enum):
@@ -520,6 +521,34 @@ def cp_for_regime(
 # ---------------------------------------------------------------------------
 
 
+def _critical_bonuses(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sorted bonuses at which the threshold order c_i - q r_i can change:
+    zero, every axis crossing c_i / r_i and every positive pairwise crossing."""
+    i, j = np.triu_indices(len(r), 1)
+    apart = r[i] != r[j]
+    i, j = i[apart], j[apart]
+    crossings = (c[i] - c[j]) / (r[i] - r[j])
+    graded = r > 0.0
+    return np.unique(
+        np.concatenate([[0.0], c[graded] / r[graded], crossings[crossings > 0.0]])
+    )
+
+
+Candidates = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cheapest_per_set(*parts: Candidates) -> Candidates:
+    """Merge (words, spend, p, q) candidate arrays, keeping per distinct
+    accepted set (a row of packed ``words``) the least (spend, p, q)."""
+    words, spend, p, q = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((q, p, spend, *words.T))
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    keep = order[first]
+    return words[first], spend[keep], p[keep], q[keep]
+
+
 def cp_exact_oracle(
     workers: Sequence[WorkerProfile],
     budget: float,
@@ -537,6 +566,10 @@ def cp_exact_oracle(
     accepted set at its cheapest attainable price.  Candidates are
     deduplicated per accepted set keeping the cheapest, then ranked by
     utility, spend, and lexicographic (p, q).
+
+    The (bonus, threshold) rows are evaluated as arrays, in chunks of
+    about ``_ORACLE_CHUNK_CELLS`` (row, worker) cells, and each row's spend
+    is a per-row sum, so identical rows always cost the same.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -549,54 +582,63 @@ def cp_exact_oracle(
     r = np.array([w.quality for w in workers])
     c = np.array([w.cost for w in workers])
     eps = 1e-9 * max(1.0, float(c.max()))
-    margin = 1e-9 * max(1.0, budget, float(c.max()))
+    limit = budget + 1e-9 * max(1.0, budget, float(c.max()))
 
-    critical = {0.0}
-    for i in range(n):
-        if r[i] > 0.0:
-            critical.add(float(c[i] / r[i]))
-        for j in range(i + 1, n):
-            if r[i] != r[j]:
-                t = float((c[i] - c[j]) / (r[i] - r[j]))
-                if t > 0.0:
-                    critical.add(t)
-    crit = sorted(critical)
-    samples = set()
-    for t in crit:
-        samples.add(t)
-        samples.add(t + eps)
-        if t - eps >= 0.0:
-            samples.add(t - eps)
-    samples.update((a + b) / 2.0 for a, b in zip(crit, crit[1:]))
-    samples.add(crit[-1] + max(1.0, crit[-1]))
-
-    # per accepted set: cheapest (spent, p, q) candidate seen
-    by_mask: dict[bytes, tuple[float, float, float]] = {}
-    for q in sorted(samples):
-        d = c - q * r
-        bases = np.maximum(d, 0.0)
-        thresholds = np.unique(np.concatenate([[0.0], bases, np.nextafter(bases, np.inf)]))
-        accept = thresholds[:, None] + q * r[None, :] >= c[None, :]
-        spend = thresholds * accept.sum(axis=1) + q * (accept @ r)
-        for t in range(len(thresholds)):
-            if spend[t] > budget + margin:
-                continue
-            key = np.packbits(accept[t]).tobytes()
-            entry = (float(spend[t]), float(thresholds[t]), q)
-            if key not in by_mask or entry < by_mask[key]:
-                by_mask[key] = entry
-
-    masks = np.array(
-        [np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n).astype(bool) for key in by_mask]
+    crit = _critical_bonuses(r, c)
+    below = crit - eps
+    samples = np.unique(
+        np.concatenate(
+            [
+                crit,
+                crit + eps,
+                below[below >= 0.0],
+                (crit[:-1] + crit[1:]) / 2.0,
+                [crit[-1] + max(1.0, crit[-1])],
+            ]
+        )
     )
+
+    # Each sampled bonus q gives the rows of base thresholds 0, max(c - q r, 0)
+    # and their one-ulp bumps; a repeated threshold repeats a row, harmlessly.
+    # Accepted sets are packed bitwise into 64-bit words, one row each.
+    width = -(-n // 64) * 8
+    step = max(1, _ORACLE_CHUNK_CELLS // ((2 * n + 1) * n))
+    # per-chunk candidates; merging them whenever they outnumber the merged
+    # table bounds the memory and keeps the total merge work near linear
+    kept: list[Candidates] = []
+    pending = 0
+    for start in range(0, len(samples), step):
+        q = samples[start : start + step]
+        qr = q[:, None] * r
+        bases = np.maximum(c - qr, 0.0)
+        thresholds = np.concatenate(
+            [np.zeros((len(q), 1)), bases, np.nextafter(bases, np.inf)], axis=1
+        )
+        # the float expression of accepted_set, so reports reproduce the rows
+        accept = thresholds[:, :, None] + qr[:, None, :] >= c
+        # spend >= threshold * |accepted|, so rows over budget by that alone go first
+        base_spend = thresholds * np.count_nonzero(accept, axis=2)
+        live = base_spend <= limit
+        rows = accept[live]
+        p_live = thresholds[live]
+        q_live = np.broadcast_to(q[:, None], thresholds.shape)[live]
+        # einsum, not a BLAS matvec: on C-ordered rows its per-row sum
+        # depends on the row alone, and it wakes no helper threads
+        spend = base_spend[live] + q_live * np.einsum("ij,j->i", rows, r)
+        ok = spend <= limit
+        packed = np.zeros((int(ok.sum()), width), dtype=np.uint8)
+        packed[:, : -(-n // 8)] = np.packbits(rows[ok], axis=1)
+        kept.append(_cheapest_per_set((packed.view(np.uint64), spend[ok], p_live[ok], q_live[ok])))
+        pending += len(kept[-1][1])
+        if pending > len(kept[0][1]):
+            kept, pending = [_cheapest_per_set(*kept)], 0
+
+    words, spend, p, q = _cheapest_per_set(*kept)
+    masks = np.unpackbits(words.view(np.uint8), axis=1, count=n).astype(bool)
     kernel = utility.bind(workers)
     values = kernel(masks)
-    ranked = sorted(
-        zip(values, (v for v in by_mask.values())),
-        key=lambda item: (-item[0], item[1]),
-    )
-    for _, (_, p, q) in ranked:
-        report = make_report(workers, utility, p, q, kernel=kernel)
+    for t in np.lexsort((q, p, spend, -values)):
+        report = make_report(workers, utility, float(p[t]), float(q[t]), kernel=kernel)
         if report.spent <= budget:
             return report
     return make_report(workers, utility, 0.0, 0.0, kernel=kernel)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import cp_exact_oracle, cp_no_bonus
+from .common import ORACLE_LIMIT, cp_exact_oracle, cp_no_bonus
 from .errors import InvariantBreach
 from .personalized import GkpInstance, solve_gkp_exact
 from .utilities import UtilityFunction, make_additive
@@ -80,7 +80,7 @@ def pob_ratio(instance: PobInstance, utility: UtilityFunction | None = None) -> 
     utility = utility or make_additive()
     no_bonus = cp_no_bonus(instance.workers, instance.budget, utility)
     with_bonus = cp_exact_oracle(
-        instance.workers, instance.budget, utility, max_n=max(14, instance.n)
+        instance.workers, instance.budget, utility, max_n=max(ORACLE_LIMIT, instance.n)
     )
     if with_bonus.utility_value <= 0.0:
         raise InvariantBreach("with-bonus optimum must be positive for n >= 4")
@@ -151,7 +151,7 @@ def poa_audit(
     budget: float,
     utility: UtilityFunction,
     tol: float = 1e-9,
-    oracle_max_n: int = 14,
+    oracle_max_n: int = ORACLE_LIMIT,
 ) -> PoaAuditResult:
     """Check the price-of-agnosticity bounds with exact solvers.
 

@@ -219,20 +219,18 @@ def _exact_by_enumeration(instance: GkpInstance) -> Selection:
     return _make_selection(instance, x)
 
 
-def _exact_by_dp(instance: GkpInstance) -> Selection:
-    """Additive-utility knapsack DP on a scaled-integer cost grid."""
-    workers = instance.workers
-    n = len(workers)
-    weights = [round(w.cost * _DP_GRID) for w in workers]
-    capacity = int(math.floor(instance.budget * _DP_GRID + 1e-9))
-    capacity = min(capacity, sum(weights))
+def _knapsack_tables(
+    weights: Sequence[int], values: np.ndarray, capacity: int
+) -> list[np.ndarray]:
+    """0-1 knapsack over integer weights: ``tables[i][k]`` is the greatest
+    value that items ``i..n-1`` reach within weight ``k``."""
+    n = len(weights)
     if (n + 1) * (capacity + 1) > 200_000_000:
         raise SizeError("cost grid too large for the knapsack DP")
 
-    values = instance.qualities
-    suffix = [np.zeros(capacity + 1)]
+    tables = [np.zeros(capacity + 1)]
     for i in range(n - 1, -1, -1):
-        prev = suffix[0]
+        prev = tables[0]
         cur = prev.copy()
         w = weights[i]
         if w <= capacity:
@@ -240,34 +238,140 @@ def _exact_by_dp(instance: GkpInstance) -> Selection:
                 cur = prev + values[i] if values[i] > 0 else cur
             else:
                 np.maximum(cur[w:], prev[:-w] + values[i], out=cur[w:])
-        suffix.insert(0, cur)
+        tables.insert(0, cur)
+    return tables
 
+
+def _knapsack_take(
+    tables: list[np.ndarray], weights: Sequence[int], values: np.ndarray
+) -> list[bool]:
+    """The lexicographically smallest take vector of greatest value."""
+    n = len(weights)
     x = [False] * n
-    cap = capacity
+    cap = len(tables[0]) - 1
     for i in range(n):
-        skip = suffix[i + 1][cap]
+        skip = tables[i + 1][cap]
         take = -np.inf
         if weights[i] <= cap:
-            take = values[i] + suffix[i + 1][cap - weights[i]]
+            take = values[i] + tables[i + 1][cap - weights[i]]
         if take > skip:  # prefer skipping on ties: lexicographically smallest x
             x[i] = True
             cap -= weights[i]
+    return x
 
-    if math.fsum(w.cost for w, xi in zip(workers, x) if xi) > instance.budget:
-        # grid rounding produced an unscaled-infeasible set
-        if n <= ENUMERATION_LIMIT:
-            return _exact_by_enumeration(instance)
-        raise SizeError("DP rounding changed feasibility and instance is too large to enumerate")
-    return _make_selection(instance, x)
+
+_BRANCH_NODE_LIMIT = 2_000_000
+
+
+def _branch_and_bound(
+    instance: GkpInstance, tables: list[np.ndarray], incumbent: float
+) -> list[bool]:
+    """Depth-first search over true costs, skip before take, bounded by
+    the rounded-down DP tables.
+
+    ``tables[i][k]`` bounds what items ``i..`` add within a true residual
+    budget b whenever k >= b * grid, since the rounded-down weights of a
+    truly feasible set sum to at most that.  Nodes whose bound falls short
+    of the best value found (or of ``incumbent``, a truly feasible value)
+    are cut, and the first best leaf in lexicographic order is kept.
+    """
+    workers = instance.workers
+    n = len(workers)
+    budget = instance.budget
+    costs = [w.cost for w in workers]
+    values = [w.quality for w in workers]
+    capacity = len(tables[0]) - 1
+    margin = 1e-9 * max(1.0, budget)
+    slack = 1e-9 * max(1.0, incumbent)
+    # incremental sums differ from one order to the next by a few ulps, so
+    # values this close are ties, and the earlier set keeps its place
+    tie = 1e-12 * max(1.0, incumbent)
+    best_value = -math.inf
+    best_x: list[bool] = []
+    x = [False] * n
+    nodes = 0
+
+    def bound_index(spend: float) -> int:
+        # rounded up past the float error of spend, which only loosens the bound
+        k = math.floor((budget - spend + margin) * _DP_GRID * (1.0 + 1e-12)) + 1
+        return min(max(k, 0), capacity)
+
+    # skip is pushed last and so popped first: leaves come in lexicographic order
+    stack = [(0, 0.0, 0.0, False)]
+    while stack:
+        i, spend, value, took = stack.pop()
+        if i:
+            x[i - 1] = took
+        nodes += 1
+        if nodes > _BRANCH_NODE_LIMIT:
+            raise SizeError("the knapsack branch and bound exceeded its node limit")
+        if i == n:
+            if value > best_value + tie and (
+                spend <= budget - margin
+                or math.fsum(c for c, xi in zip(costs, x) if xi) <= budget
+            ):
+                best_value, best_x = value, x.copy()
+            continue
+        if value + tables[i][bound_index(spend)] + slack < max(best_value, incumbent):
+            continue
+        if spend + costs[i] <= budget + margin:
+            stack.append((i + 1, spend + costs[i], value + values[i], True))
+        stack.append((i + 1, spend, value, False))
+    return best_x
+
+
+def _repaired_value(instance: GkpInstance, x: Sequence[bool]) -> float:
+    """The value of a truly feasible set near ``x``: drop its least valuable
+    workers until it fits, then add the others that still fit."""
+    workers = instance.workers
+    taken = sorted((i for i, xi in enumerate(x) if xi), key=lambda i: workers[i].quality)
+    rest = sorted((i for i, xi in enumerate(x) if not xi), key=lambda i: -workers[i].quality)
+    chosen = set(taken)
+
+    def spent() -> float:
+        return math.fsum(workers[i].cost for i in chosen)
+
+    for i in taken:
+        if spent() <= instance.budget:
+            break
+        chosen.discard(i)
+    for i in rest:
+        chosen.add(i)
+        if spent() > instance.budget:
+            chosen.discard(i)
+    return math.fsum(workers[i].quality for i in chosen)
+
+
+def _exact_by_dp(instance: GkpInstance) -> Selection:
+    """Additive-utility knapsack DP on a 1e-4 cost grid, made exact.
+
+    Costs rounded down keep every truly feasible set DP-feasible, so the
+    DP's optimum bounds the true one from above, and is the true optimum
+    when it is itself feasible (rechecked with fsum).  Otherwise a branch
+    and bound over the true costs, cut by the same DP tables, decides.
+    """
+    workers = instance.workers
+    values = instance.qualities
+    # the factors absorb the rounding of the products, so that the floors
+    # never exceed the exact scaled costs nor undercut the exact budget
+    weights = [math.floor(w.cost * _DP_GRID * (1.0 - 1e-12)) for w in workers]
+    capacity = min(math.floor(instance.budget * _DP_GRID * (1.0 + 1e-12)), sum(weights))
+    tables = _knapsack_tables(weights, values, capacity)
+    x = _knapsack_take(tables, weights, values)
+    if math.fsum(w.cost for w, xi in zip(workers, x) if xi) <= instance.budget:
+        return _make_selection(instance, x)
+    incumbent = _repaired_value(instance, x)
+    return _make_selection(instance, _branch_and_bound(instance, tables, incumbent))
 
 
 def solve_gkp_exact(instance: GkpInstance) -> Selection:
     """Exact optimum over worker subsets.
 
     Subset enumeration up to 24 workers; for additive utilities beyond
-    that, a knapsack DP on costs scaled by 1e4 (rounded half-even) with an
-    unscaled feasibility recheck.  Ties resolve to the lexicographically
-    smallest selection vector.
+    that, a knapsack DP on costs scaled by 1e4 and rounded down, whose
+    tables bound a branch and bound over the true costs whenever the DP's
+    own set does not fit the budget (``SizeError`` past its node limit).
+    Ties resolve to the lexicographically smallest selection vector.
     """
     n = len(instance.workers)
     if n <= ENUMERATION_LIMIT:

@@ -40,6 +40,9 @@ from .workers import Regime, WorkerProfile, decide, empirical_regime, load_worke
 
 __all__ = ["Scenario", "SweepPointResult", "RunResult", "run_scenario", "emit_plot_data"]
 
+# default ``oracle_max_n``: the most workers a sweep point hands to the exact oracle
+SCENARIO_ORACLE_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -51,7 +54,7 @@ class Scenario:
     seed: int
     pp_mode: str = "auto"  # auto | exact | greedy
     cp_mode: str = "auto"  # auto | oracle | regime
-    oracle_max_n: int = 16
+    oracle_max_n: int = SCENARIO_ORACLE_LIMIT
     cross_check: bool = False
     output_dir: str | None = None
 
@@ -93,7 +96,7 @@ class Scenario:
                 seed=seed,
                 pp_mode=pp_mode,
                 cp_mode=cp_mode,
-                oracle_max_n=int(solvers.get("oracle_max_n", 16)),
+                oracle_max_n=int(solvers.get("oracle_max_n", SCENARIO_ORACLE_LIMIT)),
                 cross_check=bool(solvers.get("cross_check", False)),
                 output_dir=cfg.get("output"),
             )

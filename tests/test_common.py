@@ -22,7 +22,7 @@ from crowdprice import (
     make_typo,
     structure_of,
 )
-from crowdprice.common import StructureKind
+from crowdprice.common import StructureKind, make_report
 from crowdprice.errors import SizeError
 
 
@@ -298,3 +298,125 @@ class TestOracle:
             assert accepted == rep.accepted
             assert spent == rep.spent
             assert spent <= budget
+
+
+def loop_oracle(workers, budget, utility):
+    """The sampled-bonus oracle as one Python loop with a dict insert per
+    threshold row: the reference for the array-evaluated ``cp_exact_oracle``
+    (same candidates, same filter, same ranking)."""
+    n = len(workers)
+    r = np.array([w.quality for w in workers])
+    c = np.array([w.cost for w in workers])
+    eps = 1e-9 * max(1.0, float(c.max()))
+    margin = 1e-9 * max(1.0, budget, float(c.max()))
+
+    critical = {0.0}
+    for i in range(n):
+        if r[i] > 0.0:
+            critical.add(float(c[i] / r[i]))
+        for j in range(i + 1, n):
+            if r[i] != r[j]:
+                t = float((c[i] - c[j]) / (r[i] - r[j]))
+                if t > 0.0:
+                    critical.add(t)
+    crit = sorted(critical)
+    samples = set()
+    for t in crit:
+        samples.add(t)
+        samples.add(t + eps)
+        if t - eps >= 0.0:
+            samples.add(t - eps)
+    samples.update((a + b) / 2.0 for a, b in zip(crit, crit[1:]))
+    samples.add(crit[-1] + max(1.0, crit[-1]))
+
+    by_mask = {}
+    for q in sorted(samples):
+        bases = np.maximum(c - q * r, 0.0)
+        thresholds = np.unique(np.concatenate([[0.0], bases, np.nextafter(bases, np.inf)]))
+        accept = thresholds[:, None] + q * r[None, :] >= c[None, :]
+        spend = thresholds * accept.sum(axis=1) + q * (accept @ r)
+        for t in range(len(thresholds)):
+            if spend[t] > budget + margin:
+                continue
+            key = np.packbits(accept[t]).tobytes()
+            entry = (float(spend[t]), float(thresholds[t]), q)
+            if key not in by_mask or entry < by_mask[key]:
+                by_mask[key] = entry
+
+    masks = np.array(
+        [np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n).astype(bool) for key in by_mask]
+    )
+    values = utility.bind(workers)(masks)
+    for _, (_, p, q) in sorted(zip(values, by_mask.values()), key=lambda it: (-it[0], it[1])):
+        report = make_report(workers, utility, p, q)
+        if report.spent <= budget:
+            return report
+    return make_report(workers, utility, 0.0, 0.0)
+
+
+def differential_pools(rng, count, n_lo, n_hi):
+    """Pools over the three regime curves and a tied 0.1 grid, each under
+    typo m = 1, m = 13, linear typo and additive in turn."""
+    curves = (unresponsive_curve, subresponsive_curve, responsive_curve)
+    utilities = (make_typo(25, 1), make_typo(25, 13), make_typo(25, None), make_additive())
+    for k in range(count):
+        n = int(rng.integers(n_lo, n_hi + 1))
+        if k % 4 < 3:
+            curve, lo, hi = curves[k % 4](rng)
+            workers = curve_profile(curve, rng, n, lo, hi)
+        else:  # grid qualities and costs: lines coincide and cross at shared points
+            workers = [
+                WorkerProfile(int(rng.integers(0, 11)) / 10, int(rng.integers(1, 11)) / 10, i)
+                for i in range(n)
+            ]
+        budget = float(rng.uniform(0.05, 1.3) * sum(w.cost for w in workers))
+        yield workers, budget, utilities[(k // 4) % 4]
+
+
+class TestOracleMatchesLoopReference:
+    @staticmethod
+    def check(workers, budget, utility):
+        ref = loop_oracle(workers, budget, utility)
+        got = cp_exact_oracle(workers, budget, utility, max_n=len(workers))
+        assert got.utility_value == ref.utility_value
+        assert got.accepted == ref.accepted
+        tol = 1e-12 * max(1.0, budget)
+        assert got.spent <= ref.spent + tol
+        same_price = math.isclose(got.policy.base, ref.policy.base, rel_tol=1e-12) and (
+            math.isclose(got.policy.bonus, ref.policy.bonus, rel_tol=1e-12)
+        )
+        # two prices of one set that spend the same up to rounding: which is
+        # cheaper is float noise (the reference sums with BLAS)
+        assert same_price or abs(got.spent - ref.spent) <= tol
+
+    def test_small_pools(self):
+        rng = np.random.default_rng(51)
+        for workers, budget, utility in differential_pools(rng, 64, 2, 16):
+            self.check(workers, budget, utility)
+
+    def test_large_pools(self):
+        rng = np.random.default_rng(52)
+        for workers, budget, utility in differential_pools(rng, 6, 32, 48):
+            self.check(workers, budget, utility)
+
+
+class TestOracleAtScale:
+    def test_dominates_every_solver_and_reproduces(self):
+        rng = np.random.default_rng(53)
+        utility = make_typo(25, 1)
+        for maker in (unresponsive_curve, subresponsive_curve, responsive_curve) * 2:
+            curve, lo, hi = maker(rng)
+            n = int(rng.integers(40, 61))
+            workers = curve_profile(curve, rng, n, lo, hi)
+            budget = float(rng.uniform(0.1, 1.2) * sum(w.cost for w in workers))
+            oracle = cp_exact_oracle(workers, budget, utility, max_n=n)
+            rivals = [cp_unres(workers, budget, utility, diagnostics=False)]
+            for solver in (cp_subres, cp_res):
+                for mode in ("binary", "linear"):
+                    rivals.append(solver(workers, budget, utility, mode=mode, diagnostics=False))
+            rivals.append(cp_no_bonus(workers, budget, utility))
+            for rival in rivals:
+                assert rival.utility_value <= oracle.utility_value + 1e-9
+            accepted, spent = accepted_set(workers, oracle.policy)
+            assert accepted == oracle.accepted
+            assert spent == oracle.spent <= budget

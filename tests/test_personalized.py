@@ -19,6 +19,7 @@ from crowdprice import (
     sort_by_bang_per_buck,
 )
 from crowdprice.errors import SizeError
+from crowdprice import personalized
 from crowdprice.personalized import _exact_by_dp
 
 
@@ -158,6 +159,71 @@ class TestExactSolver:
             assert _exact_by_dp(inst).utility_value == pytest.approx(
                 solve_gkp_exact(inst).utility_value, abs=1e-9
             )
+
+    def test_dp_grid_rounding_cannot_hide_the_optimum(self):
+        # rounded to the nearest unit of the 1e-4 grid, each cheap worker
+        # takes 2 units of a capacity of 5, so such a DP keeps only two
+        workers = tuple(WorkerProfile(0.5, 0.00017, i) for i in range(3)) + tuple(
+            WorkerProfile(0.1, 5.0, i) for i in range(3, 25)
+        )
+        inst = GkpInstance(workers=workers, budget=0.00051, utility=make_additive())
+        sel = solve_gkp_exact(inst)
+        assert sel.utility_value == pytest.approx(1.5, abs=1e-12)
+        assert sel.chosen == (0, 1, 2)
+
+    @staticmethod
+    def _rounded_down_take(inst):
+        weights = [math.floor(w.cost * 10_000 * (1.0 - 1e-12)) for w in inst.workers]
+        capacity = min(math.floor(inst.budget * 10_000 * (1.0 + 1e-12)), sum(weights))
+        tables = personalized._knapsack_tables(weights, inst.qualities, capacity)
+        return personalized._knapsack_take(tables, weights, inst.qualities)
+
+    def test_branch_and_bound_answers_when_the_rounded_down_set_overspends(self):
+        # 1.9 grid units round down to 1, so the DP fits all three cheap
+        # workers (3 of 5 units) though only two fit the true budget
+        workers = (
+            WorkerProfile(0.5, 0.00019, 0),
+            WorkerProfile(0.4, 0.00019, 1),
+            WorkerProfile(0.3, 0.00019, 2),
+        ) + tuple(WorkerProfile(0.1, 5.0, i) for i in range(3, 25))
+        inst = GkpInstance(workers=workers, budget=0.0005, utility=make_additive())
+        assert self._rounded_down_take(inst)[:3] == [True, True, True]
+        sel = solve_gkp_exact(inst)
+        assert sel.chosen == (0, 1)
+        assert sel.utility_value == pytest.approx(0.9, abs=1e-12)
+
+    def test_branch_and_bound_matches_enumeration(self, monkeypatch):
+        answered = []
+        search = personalized._branch_and_bound
+
+        def spy(*args):
+            answered.append(True)
+            return search(*args)
+
+        monkeypatch.setattr(personalized, "_branch_and_bound", spy)
+        rng = np.random.default_rng(23)
+        for k in range(40):
+            n = int(rng.integers(3, 13))
+            # costs of a few grid units, so rounding down often overspends;
+            # grid qualities make float-noise ties common
+            costs = rng.uniform(1e-4, 6e-4, n)
+            qualities = rng.choice([0.1, 0.2, 0.3, 0.5], n) if k % 2 else rng.uniform(0, 1, n)
+            workers = tuple(
+                WorkerProfile(float(qualities[i]), float(costs[i]), i) for i in range(n)
+            )
+            budget = float(rng.uniform(0.2, 0.9) * costs.sum())
+            inst = GkpInstance(workers=workers, budget=budget, utility=make_additive())
+            sel = _exact_by_dp(inst)
+            assert sel.spent <= budget
+            assert sel.x == solve_gkp_exact(inst).x
+        assert len(answered) >= 20
+
+    def test_branch_and_bound_node_limit_refuses(self, monkeypatch):
+        monkeypatch.setattr(personalized, "_BRANCH_NODE_LIMIT", 10)
+        workers = tuple(WorkerProfile(0.1 * (i % 5 + 1), 0.00019, i) for i in range(30))
+        inst = GkpInstance(workers=workers, budget=0.0005, utility=make_additive())
+        with pytest.raises(SizeError):
+            _exact_by_dp(inst)
 
 
 class TestRelaxation:

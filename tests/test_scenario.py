@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +152,21 @@ class TestEmitPlotData:
         for pt in result.points:
             if pt.regime is Regime.EFFORT_UNRESPONSIVE:
                 assert pt.cp.policy.base == 0.0
+
+    def test_typo_demo_reproduces_committed_figure_data(self, tmp_path):
+        # the scenario of demos/05_typo_simulation.py; manifest.json is left
+        # out, since it records the numpy version
+        scenario = Scenario.from_config(
+            {
+                "population": {"generator": {"n": 15, "seed": 9}},
+                "utility": {"kind": "typo", "M": 25},
+                "bonus_policies": [{"kind": "threshold", "m": m, "M": 25} for m in range(15, 26)]
+                + [{"kind": "linear", "M": 25}],
+                "budget": 4.0,
+                "seed": 9,
+            }
+        )
+        emit_plot_data(run_scenario(scenario), tmp_path)
+        golden = Path(__file__).resolve().parents[1] / "demos" / "out"
+        for name in ("curves.csv", "decisions.csv", "pricing.csv", "utilities.csv"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
