@@ -22,13 +22,10 @@ from .workers import (
 )
 from .utilities import (
     UtilityFunction,
-    additive_utility,
-    binary_labeling_utility,
     make_additive,
     make_binary_labeling,
     make_typo,
     majorizes,
-    typo_utility,
     utility_from_config,
     weakly_majorizes,
 )
@@ -84,7 +81,6 @@ __all__ = [
     "sort_by_bang_per_buck", "load_workers",
     # utilities
     "UtilityFunction", "make_additive", "make_typo", "make_binary_labeling",
-    "typo_utility", "additive_utility", "binary_labeling_utility",
     "weakly_majorizes", "majorizes", "utility_from_config",
     # bonus
     "BonusPolicy", "AbilityProfile", "bm", "invert_bm", "translate",

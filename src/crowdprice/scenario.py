@@ -35,7 +35,7 @@ from .personalized import (
     policy_from_selection,
     solve_gkp_exact,
 )
-from .utilities import UtilityFunction, make_additive, make_binary_labeling, make_typo
+from .utilities import UtilityFunction, utility_from_config
 from .workers import Regime, WorkerProfile, decide, empirical_regime, load_workers
 
 __all__ = ["Scenario", "SweepPointResult", "RunResult", "run_scenario", "emit_plot_data"]
@@ -204,17 +204,10 @@ def _population(scenario: Scenario) -> AbilityProfile:
 
 
 def _utility_for_point(scenario: Scenario, policy: BonusPolicy) -> UtilityFunction:
-    cfg = scenario.utility
-    kind = cfg["kind"]
-    if kind == "additive":
-        return make_additive()
-    if kind == "binary_labeling":
-        return make_binary_labeling()
-    # typo utility inverts qualities with the same qualification the bonus
+    # a typo utility inverts qualities with the same qualification the bonus
     # policy used, so the requester's payoff is measured in abilities
-    M = int(cfg["M"])
     m = policy.m if policy.kind == "threshold" else None
-    return make_typo(M, m)
+    return utility_from_config({**scenario.utility, "m": m})
 
 
 def _solve_pp(scenario: Scenario, instance: GkpInstance) -> tuple[Selection, str]:

@@ -27,9 +27,6 @@ __all__ = [
     "make_typo",
     "make_binary_labeling",
     "utility_from_config",
-    "typo_utility",
-    "additive_utility",
-    "binary_labeling_utility",
     "weakly_majorizes",
     "majorizes",
     "check_subadditive",
@@ -214,7 +211,8 @@ def make_binary_labeling(max_n: int = 20) -> UtilityFunction:
 
 def utility_from_config(cfg: dict) -> UtilityFunction:
     """Build a utility from its scenario-config form, e.g.
-    ``{"kind": "typo", "M": 25, "m": 1}`` or ``{"kind": "additive"}``."""
+    ``{"kind": "typo", "M": 25, "m": 1}`` or ``{"kind": "additive"}``.
+    A typo config whose ``m`` is missing or None uses linear qualification."""
     kind = cfg.get("kind")
     if kind == "additive":
         return make_additive()
@@ -224,18 +222,6 @@ def utility_from_config(cfg: dict) -> UtilityFunction:
     if kind == "binary_labeling":
         return make_binary_labeling()
     raise ValueError(f"unknown utility config {cfg!r}")
-
-
-def typo_utility(effective_qualities: Sequence[float], M: int, m: int) -> float:
-    return make_typo(M, m).evaluate(effective_qualities)
-
-
-def additive_utility(effective_qualities: Sequence[float]) -> float:
-    return make_additive().evaluate(effective_qualities)
-
-
-def binary_labeling_utility(effective_qualities: Sequence[float]) -> float:
-    return make_binary_labeling().evaluate(effective_qualities)
 
 
 # ---------------------------------------------------------------------------

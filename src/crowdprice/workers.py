@@ -35,7 +35,6 @@ __all__ = [
     "load_workers_csv",
     "load_workers_json",
     "workers_to_json",
-    "empirical_curve",
     "empirical_regime",
 ]
 
@@ -228,52 +227,51 @@ def classify_regime(
     return Regime.UNCLASSIFIED
 
 
-def empirical_curve(workers: Sequence[WorkerProfile]) -> tuple[CostQualityCurve, tuple[float, float]]:
-    """Fit a monotone cubic interpolant through the (cost, quality) points.
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point estimate, kept shape-preserving
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    Workers sharing a cost are collapsed to their mean quality before the
-    fit (a function of cost cannot split them).  Raw finite differences on
-    scattered points are too noisy to classify, hence the smooth fit.
-    For regime labels prefer :func:`empirical_regime`: the interpolant's
-    raw second derivative is piecewise linear with jumps and unreliable
-    for curvature tests.
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the monotone PCHIP interpolant through (x, y).
+
+    Needs at least three strictly increasing knots.  Interior knots take
+    the weighted harmonic mean of the two neighbouring secant slopes, or 0
+    where those differ in sign or either is 0 (Fritsch & Carlson, 1980);
+    end knots take the one-sided three-point rule (Fritsch & Butland,
+    1984).  The expressions are those of scipy's ``PchipInterpolator``.
     """
-    from scipy.interpolate import PchipInterpolator
-
-    if len(workers) < 2:
-        raise ValueError("need at least two workers to fit a curve")
-    by_cost: dict[float, list[float]] = {}
-    for w in workers:
-        by_cost.setdefault(w.cost, []).append(w.quality)
-    cs = np.array(sorted(by_cost))
-    rs = np.array([float(np.mean(by_cost[c])) for c in cs])
-    if len(cs) < 2:
-        raise ValueError("all workers share one cost; no curve to fit")
-    if cs[0] <= 0.0:
-        raise ValueError("zero-cost worker present; empirical regime undefined")
-    spline = PchipInterpolator(cs, rs)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    curve = CostQualityCurve(
-        f=lambda x: float(spline(x)),
-        fprime=lambda x: float(d1(x)),
-        fsecond=lambda x: float(d2(x)),
-        label="pchip-fit",
-    )
-    return curve, (float(cs[0]), float(cs[-1]))
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(smooth, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
 
 
 def empirical_regime(workers: Sequence[WorkerProfile], tol: float = 1e-6) -> Regime:
     """Regime label of the fitted empirical cost-quality curve.
 
-    Evaluates the regime inequalities at the sample costs using the
-    monotone interpolant's first derivative; the curvature condition uses
-    that derivative's knot-to-knot slopes.  (The interpolant's raw second
-    derivative is piecewise linear with jumps and would misclassify even
-    exactly convex data.)
+    Workers sharing a cost are collapsed to their mean quality.  The regime
+    inequalities are evaluated at the sample costs using the knot slopes of
+    scipy's monotone PCHIP interpolant, reimplemented in numpy
+    (:func:`_pchip_slopes`); the curvature condition uses those slopes'
+    knot-to-knot differences.  (The interpolant's raw second derivative is
+    piecewise linear with jumps and would misclassify even exactly convex
+    data.)  At the last knot the end rule's slope is returned directly,
+    where scipy evaluates the last cubic, so the two can differ by about
+    1e-14.
     """
-    from scipy.interpolate import PchipInterpolator
-
     by_cost: dict[float, list[float]] = {}
     for w in workers:
         by_cost.setdefault(w.cost, []).append(w.quality)
@@ -281,8 +279,7 @@ def empirical_regime(workers: Sequence[WorkerProfile], tol: float = 1e-6) -> Reg
     if len(cs) < 3 or cs[0] <= 0.0:
         return Regime.UNCLASSIFIED
     rs = np.array([float(np.mean(by_cost[c])) for c in cs])
-    spline = PchipInterpolator(cs, rs)
-    d1 = spline.derivative(1)(cs)
+    d1 = _pchip_slopes(cs, rs)
     ratio = rs / cs
 
     def leq(a: np.ndarray, b: np.ndarray) -> bool:

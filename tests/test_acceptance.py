@@ -33,6 +33,7 @@ from crowdprice import (
     cp_subres,
     cp_unres,
     make_additive,
+    make_binary_labeling,
     make_typo,
     modified_greedy,
     poa_audit,
@@ -359,11 +360,8 @@ def test_c10_utility_property_audits():
     audits_ok = all(report.passed for report in audits.values())
 
     rng = np.random.default_rng(1010)
-    from crowdprice import binary_labeling_utility
-
-    worst = max(
-        abs(binary_labeling_utility([float(r)]) - 2.0 * r) for r in rng.uniform(0, 1, 100)
-    )
+    binary = make_binary_labeling()
+    worst = max(abs(binary.evaluate([float(r)]) - 2.0 * r) for r in rng.uniform(0, 1, 100))
     binary_ok = worst <= 1e-9
     ok = audits_ok and binary_ok
     failed = [name for name, report in audits.items() if not report.passed]

@@ -4,14 +4,11 @@ from hypothesis import given, strategies as st
 
 from crowdprice import (
     WorkerProfile,
-    additive_utility,
-    binary_labeling_utility,
     bm,
     majorizes,
     make_additive,
     make_binary_labeling,
     make_typo,
-    typo_utility,
     utility_from_config,
     weakly_majorizes,
 )
@@ -29,20 +26,20 @@ from crowdprice.utilities import (
 
 class TestTypoUtility:
     def test_nobody_recruited_is_worthless(self):
-        assert typo_utility([0.0] * 6, M=25, m=1) == 0.0
+        assert make_typo(25, 1).evaluate([0.0] * 6) == 0.0
 
     def test_single_worker_inverts_qualification(self):
         # quality b_1(0.2) maps back to ability 0.2: 25 typos * 0.2
         r = bm(0.2, 25, 1)
-        assert typo_utility([r], M=25, m=1) == pytest.approx(5.0, abs=1e-9)
+        assert make_typo(25, 1).evaluate([r]) == pytest.approx(5.0, abs=1e-9)
 
     def test_two_worker_coverage(self):
         rs = [bm(0.2, 25, 1), bm(0.5, 25, 1)]
-        assert typo_utility(rs, M=25, m=1) == pytest.approx(25 * (1 - 0.8 * 0.5), abs=1e-9)
+        assert make_typo(25, 1).evaluate(rs) == pytest.approx(25 * (1 - 0.8 * 0.5), abs=1e-9)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            typo_utility([1.2], M=25, m=1)
+            make_typo(25, 1).evaluate([1.2])
 
     def test_linear_mode_skips_inversion(self):
         u = make_typo(25, None)
@@ -59,26 +56,26 @@ class TestTypoUtility:
 
 class TestAdditiveUtility:
     def test_examples(self):
-        assert additive_utility([]) == 0.0
-        assert additive_utility([0.1] * 8) == pytest.approx(0.8, abs=1e-12)
-        assert additive_utility([2.0, 2.0, 2.0, 2.0]) == 8.0
+        assert make_additive().evaluate([]) == 0.0
+        assert make_additive().evaluate([0.1] * 8) == pytest.approx(0.8, abs=1e-12)
+        assert make_additive().evaluate([2.0, 2.0, 2.0, 2.0]) == 8.0
 
 
 class TestBinaryLabeling:
     def test_no_information_no_utility(self):
-        assert binary_labeling_utility([0.0, 0.0]) == 0.0
+        assert make_binary_labeling().evaluate([0.0, 0.0]) == 0.0
 
     def test_perfect_worker(self):
-        assert binary_labeling_utility([1.0]) == pytest.approx(2.0, abs=1e-12)
+        assert make_binary_labeling().evaluate([1.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_single_worker_closed_form(self):
         rng = np.random.default_rng(2)
         for r in rng.uniform(0, 1, size=100):
-            assert binary_labeling_utility([float(r)]) == pytest.approx(2 * r, abs=1e-9)
+            assert make_binary_labeling().evaluate([float(r)]) == pytest.approx(2 * r, abs=1e-9)
 
     def test_size_guard(self):
         with pytest.raises(SizeError):
-            binary_labeling_utility([0.5] * 21)
+            make_binary_labeling().evaluate([0.5] * 21)
 
 
 class TestMajorization:

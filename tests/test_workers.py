@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
+
+from conftest import curve_profile, responsive_curve, subresponsive_curve, unresponsive_curve
 
 from crowdprice import (
     CommonPolicy,
@@ -14,7 +21,14 @@ from crowdprice import (
     expected_payment,
     sort_by_bang_per_buck,
 )
-from crowdprice.workers import load_workers_csv, load_workers_json, workers_to_json
+from crowdprice.bonus import generate_population, linear_policy, threshold_policy, translate
+from crowdprice.workers import (
+    _pchip_slopes,
+    empirical_regime,
+    load_workers_csv,
+    load_workers_json,
+    workers_to_json,
+)
 
 
 class TestDecide:
@@ -93,6 +107,153 @@ class TestClassifyRegime:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             classify_regime(CostQualityCurve(f=math.sqrt), (0.1, 1.0), samples=1)
+
+
+def _scipy_reference_regime(workers, tol=1e-6):
+    """empirical_regime as it was with scipy's PchipInterpolator: the
+    reference the numpy knot slopes are checked against."""
+    by_cost = {}
+    for w in workers:
+        by_cost.setdefault(w.cost, []).append(w.quality)
+    cs = np.array(sorted(by_cost))
+    if len(cs) < 3 or cs[0] <= 0.0:
+        return Regime.UNCLASSIFIED
+    rs = np.array([float(np.mean(by_cost[c])) for c in cs])
+    d1 = PchipInterpolator(cs, rs).derivative(1)(cs)
+    ratio = rs / cs
+
+    def leq(a, b):
+        return bool(np.all(a <= b + tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
+
+    second = np.diff(d1) / np.diff(cs)
+    if leq(d1, ratio):
+        return Regime.EFFORT_UNRESPONSIVE
+    if leq(ratio, d1) and leq(second, np.zeros_like(second)):
+        return Regime.EFFORT_SUBRESPONSIVE
+    if leq(ratio, d1) and leq(np.zeros_like(second), second):
+        return Regime.EFFORT_RESPONSIVE
+    return Regime.UNCLASSIFIED
+
+
+def _family_pools(seed=606, per_family=40):
+    """Pools from the conftest curve families and uniform scatter, n = 3-60."""
+    rng = np.random.default_rng(seed)
+    pools = []
+    for family in (unresponsive_curve, subresponsive_curve, responsive_curve):
+        for _ in range(per_family):
+            curve, lo, hi = family(rng)
+            pools.append(curve_profile(curve, rng, int(rng.integers(3, 61)), lo, hi))
+    for _ in range(per_family):
+        n = int(rng.integers(3, 61))
+        pools.append(
+            [
+                WorkerProfile(float(rng.uniform()), float(rng.uniform(0.01, 1.0)), i)
+                for i in range(n)
+            ]
+        )
+    return pools
+
+
+def _knots(workers):
+    cs = np.array(sorted({w.cost for w in workers}))
+    rs = np.array([np.mean([w.quality for w in workers if w.cost == c]) for c in cs])
+    return cs, rs
+
+
+class TestPchipSlopes:
+    @staticmethod
+    def assert_matches_scipy(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ours = _pchip_slopes(x, y)
+        ref = PchipInterpolator(x, y).derivative(1)(x)
+        # relative to the largest slope: a slope the end rule sets to 0 has
+        # no scale of its own, and scipy evaluates the last cubic there
+        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        return ours
+
+    def test_curve_families(self):
+        for pool in _family_pools():
+            self.assert_matches_scipy(*_knots(pool))
+
+    def test_flat_runs(self):
+        x = [0.1, 0.2, 0.4, 0.5, 0.7, 0.9]
+        d = self.assert_matches_scipy(x, [0.3, 0.3, 0.3, 0.6, 0.6, 0.8])
+        assert d[1] == 0.0 and d[3] == 0.0 and d[4] == 0.0
+        assert not np.any(self.assert_matches_scipy([0.1, 0.5, 0.9], [0.4, 0.4, 0.4]))
+
+    def test_secants_changing_sign_give_interior_zero(self):
+        d = self.assert_matches_scipy([0.1, 0.3, 0.6, 0.8, 1.0], [0.2, 0.5, 0.1, 0.4, 0.9])
+        assert d[1] == 0.0 and d[2] == 0.0
+        assert d[3] > 0.0
+
+    def test_end_rule_sign_flip_gives_zero(self):
+        # first knot: d = (3*1 - 4)/2 < 0 while the first secant is 1
+        d = self.assert_matches_scipy([0.0, 1.0, 2.0], [0.0, 1.0, 5.0])
+        assert d[0] == 0.0
+        d = self.assert_matches_scipy([0.0, 1.0, 2.0], [0.0, 4.0, 5.0])
+        assert d[-1] == 0.0
+
+    def test_end_rule_overshoot_is_capped_at_three_secants(self):
+        # secants 1 then -10: the three-point estimate 6.5 is cut to 3 * 1
+        d = self.assert_matches_scipy([0.0, 1.0, 2.0], [0.0, 1.0, -9.0])
+        assert d[0] == 3.0
+        d = self.assert_matches_scipy([0.0, 1.0, 2.0], [0.0, 10.0, 9.0])
+        assert d[-1] == pytest.approx(-3.0, rel=1e-12)
+
+    def test_three_knots(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            x = np.sort(rng.uniform(0.01, 1.0, size=3))
+            self.assert_matches_scipy(x, rng.uniform(0.0, 1.0, size=3))
+
+
+class TestEmpiricalRegime:
+    def test_labels_match_scipy_reference_on_family_pools(self):
+        pools = _family_pools()
+        labels = [_scipy_reference_regime(pool) for pool in pools]
+        assert [empirical_regime(pool) for pool in pools] == labels
+        assert set(labels) == set(Regime)
+
+    def test_labels_match_scipy_reference_on_demo_population(self):
+        # the population and sweep of demos/05_typo_simulation.py
+        population = generate_population(n=15, seed=9)
+        policies = [threshold_policy(m, 25) for m in range(15, 26)] + [linear_policy(25)]
+        for policy in policies:
+            workers = translate(population, policy)
+            assert empirical_regime(workers) is _scipy_reference_regime(workers)
+
+    def test_runtime_calls_do_not_import_scipy(self, tmp_path):
+        rows = "\n".join(f"{i},{0.15 * i:.2f},{0.1 * i:.1f}" for i in range(1, 7))
+        path = tmp_path / "six.csv"
+        path.write_text("id,quality,cost\n" + rows + "\n", encoding="utf-8")
+        script = f"""
+import sys
+import numpy as np
+from crowdprice import Regime, WorkerProfile, cp_for_regime, make_additive, run_scenario
+from crowdprice.cli import main
+from crowdprice.scenario import Scenario
+
+main(["cp", "--workers", {str(path)!r}, "--budget", "0.5", "--regime", "auto"],
+     standalone_mode=False)
+run_scenario(Scenario.from_config({{
+    "population": {{"generator": {{"n": 8, "seed": 1}}}},
+    "utility": {{"kind": "typo", "M": 25}},
+    "bonus_policies": [{{"kind": "threshold", "m": 3, "M": 25}}, {{"kind": "linear", "M": 25}}],
+    "budget": 1.0,
+}}))
+rng = np.random.default_rng(7)
+pool = [WorkerProfile(float(rng.uniform()), float(rng.uniform()), i) for i in range(20)]
+cp_for_regime(pool, 2.0, make_additive(), Regime.UNCLASSIFIED)
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path_entries = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestBangPerBuckOrder:
