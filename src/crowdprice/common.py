@@ -45,8 +45,10 @@ __all__ = [
     "make_report",
 ]
 
-ORACLE_LIMIT = 14
-_ORACLE_CHUNK_CELLS = 1 << 16
+# the default cap on the workers handed to the exact oracle, shared by the
+# CLI, the scenario runner and the comparisons
+ORACLE_LIMIT = 16
+_ORACLE_CHUNK_ROWS = 1 << 12
 
 
 class StructureKind(Enum):
@@ -549,6 +551,116 @@ def _cheapest_per_set(*parts: Candidates) -> Candidates:
     return words[first], spend[keep], p[keep], q[keep]
 
 
+def _worker_bits(n: int) -> np.ndarray:
+    """Each worker's set bit, packed as ``np.packbits`` packs a mask row and
+    padded to whole 64-bit words: shape (n, ceil(n / 64))."""
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(np.eye(n, dtype=bool), axis=1)
+    return packed.view(np.uint64)
+
+
+def _chunk_candidates(
+    q: np.ndarray, r: np.ndarray, c: np.ndarray, bits: np.ndarray, limit: float
+) -> Candidates:
+    """Budget-feasible (words, spend, p, q) rows of one chunk of sampled
+    bonuses q, at least the cheapest of each run of rows with one set.
+
+    At each bonus the rows are the base 0 and its one-ulp bump, which every
+    clamped base max(c_i - q r_i, 0) = 0 repeats, and each positive key
+    c_i - q r_i and its bump.  A row's accepted set is the prefix of the
+    workers in key order below a pivot, read off a prefix-OR of their
+    ``bits``, with the workers of a narrow band of keys around its base
+    re-tested by the accept expression of ``accepted_set`` and flipped
+    where the prefix put them on the wrong side.  Rows are laid out column
+    by column with the bonus ascending, so a column's set repeats over runs
+    of consecutive rows; spend is summed once per run, and a run keeps only
+    its rows of least spend.
+    """
+    m, n = len(q), len(r)
+    qr = q[:, None] * r
+    keys = c - qr
+    perm = np.argsort(keys, axis=1, kind="stable")
+    ks = np.take_along_axis(keys, perm, axis=1)
+    qr_sorted = np.take_along_axis(qr, perm, axis=1)
+    c_sorted = c[perm]
+    sorted_bits = bits[perm]
+    prefix = np.zeros((m, n + 1, bits.shape[1]), dtype=np.uint64)
+    prefix[:, 1:] = np.bitwise_or.accumulate(sorted_bits, axis=1)
+
+    # Why a narrow band is enough.  With u = 2^-53 and M the largest of 1,
+    # the c_i and the q r_i, a key k = fl(c - q r) is within u M of the
+    # exact c - q r, and the accept test fl(t + q r) >= c agrees with the
+    # exact t + q r >= c unless c - (t + q r) lies in (0, u c].  So a worker
+    # whose key lies below t - u M accepts the base t, and one whose key
+    # lies above t + 2u M declines it; a bump moves the base by one ulp, at
+    # most 2u M.  Sorted keys are cut into groups wherever neighbours lie
+    # more than band = 8u M apart, and a key's rows re-test its whole group,
+    # so every other key is more than about 6u M from their base.  The rows
+    # at 0 re-test every key within band of 0.
+    band = 4.0 * np.finfo(float).eps * np.maximum(max(1.0, float(c.max())), q * r.max())
+    split = np.diff(ks, axis=1) > band[:, None]
+    rank = np.arange(n)
+    opens = np.concatenate([np.ones((m, 1), dtype=bool), split], axis=1)
+    closes = np.concatenate([split, np.ones((m, 1), dtype=bool)], axis=1)
+    group_lo = np.maximum.accumulate(np.where(opens, rank, 0), axis=1)
+    group_hi = np.minimum.accumulate(np.where(closes, rank + 1, n)[:, ::-1], axis=1)[:, ::-1]
+
+    # Columns: the base 0, its bump, then each key and its bump; a key at or
+    # below 0 leaves its column dead at that bonus.  [lo, hi) are the ranks
+    # a row re-tests.  The pivot of the rows at 0 is lo; that of a key's rows
+    # is the key's rank, one higher when the accept test takes its worker.
+    base = np.empty((2 * n + 2, m))
+    base[0] = 0.0
+    base[1] = np.nextafter(0.0, 1.0)
+    base[2::2] = ks.T
+    base[3::2] = np.nextafter(ks.T, np.inf)
+    lo = np.empty(base.shape, dtype=np.intp)
+    hi = np.empty(base.shape, dtype=np.intp)
+    pivot = np.empty(base.shape, dtype=np.intp)
+    lo[:2] = pivot[:2] = np.count_nonzero(ks < -band[:, None], axis=1)
+    hi[:2] = np.count_nonzero(ks <= band[:, None], axis=1)
+    lo[2::2] = lo[3::2] = group_lo.T
+    hi[2::2] = hi[3::2] = group_hi.T
+    own = base[2:].reshape(n, 2, m) + qr_sorted.T[:, None] >= c_sorted.T[:, None]
+    pivot[2:] = (rank[:, None, None] + own).reshape(2 * n, m)
+    live = np.ones(base.shape, dtype=bool)
+    live[2::2] = live[3::2] = ks.T > 0.0
+    row = np.flatnonzero(live)
+    at = row % m
+    p, lo, hi, pivot = base.ravel()[row], lo.ravel()[row], hi.ravel()[row], pivot.ravel()[row]
+
+    words = prefix.reshape(-1, bits.shape[1])[at * (n + 1) + pivot]
+    size = pivot.copy()
+    # re-test the band's workers, by flat (bonus, rank) index into the
+    # sorted arrays, and flip those on the wrong side of the pivot
+    qr_sorted, c_sorted = qr_sorted.ravel(), c_sorted.ravel()
+    sorted_bits = sorted_bits.reshape(-1, bits.shape[1])
+    k = np.flatnonzero((hi - lo > 1) | (row < 2 * m))
+    for d in range((hi - lo)[k].max(initial=0)):
+        k = k[hi[k] - lo[k] > d]
+        j = lo[k] + d
+        flat = at[k] * n + j
+        accept = p[k] + qr_sorted[flat] >= c_sorted[flat]
+        flip = accept != (j < pivot[k])
+        words[k[flip]] ^= sorted_bits[flat[flip]]
+        size[k[flip]] += np.where(accept[flip], 1, -1)
+
+    # runs of one set; R_S is summed once per run
+    fresh = np.ones(len(p), dtype=bool)
+    fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
+    starts = np.flatnonzero(fresh)
+    lengths = np.diff(starts, append=len(p))
+    masks = np.unpackbits(words[starts].view(np.uint8), axis=1, count=n).astype(bool)
+    # einsum, not a BLAS matvec: on C-ordered rows its per-row sum depends
+    # on the row alone, so one set costs the same bit for bit everywhere,
+    # and it wakes no helper threads
+    q_row = q[at]
+    spend = p * size + q_row * np.repeat(np.einsum("ij,j->i", masks, r), lengths)
+    least = np.repeat(np.minimum.reduceat(spend, starts), lengths)
+    keep = (spend == least) & (spend <= limit)
+    return words[keep], spend[keep], p[keep], q_row[keep]
+
+
 def cp_exact_oracle(
     workers: Sequence[WorkerProfile],
     budget: float,
@@ -567,9 +679,27 @@ def cp_exact_oracle(
     deduplicated per accepted set keeping the cheapest, then ranked by
     utility, spend, and lexicographic (p, q).
 
-    The (bonus, threshold) rows are evaluated as arrays, in chunks of
-    about ``_ORACLE_CHUNK_CELLS`` (row, worker) cells, and each row's spend
-    is a per-row sum, so identical rows always cost the same.
+    Each (bonus, base) row's set is read off the threshold order, not
+    tested worker by worker (``_chunk_candidates``): one stable sort of the
+    keys per bonus, a prefix-OR of the workers' bits in ceil(n / 64) 64-bit
+    words, and the size from the set's position in the order.  With
+    u = 2^-53 and M the largest of 1, the c_i and the q r_i, rounding moves
+    a key by at most u M; the workers whose keys chain to the base in steps
+    of at most 8u M are re-tested with the accept expression p + q r_i >= c_i
+    itself, so every set is exact.
+    Spend is p |S| + q R_S, with R_S a per-set ``einsum``, so one set costs
+    the same bit for bit wherever it occurs; a run of bonuses over which a
+    threshold column keeps one set is cut to its least spend before the
+    per-set merge.  The candidates, the filter and the ranking are those of
+    the (rows x n) accept tensor this replaced, and so is the reported
+    (p, q).
+
+    Time is O(n^3 log n): O(n^2) bonuses, each one sort and O(n) rows.
+    Rows go in chunks of ``_ORACLE_CHUNK_ROWS``, which holds the traced
+    peak at 0.60-0.70 MB for n = 16-60 (0.88-1.04 MB with the tensor).
+    Oracle alone, best of 7 on one responsive pool (2-vCPU VM, numpy 2.4),
+    accept tensor -> prefix evaluation: n = 16: 4.8 -> 3.4 ms, n = 32:
+    38 -> 20 ms, n = 48: 141 -> 61 ms, n = 60: 371 -> 136 ms.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -598,37 +728,15 @@ def cp_exact_oracle(
         )
     )
 
-    # Each sampled bonus q gives the rows of base thresholds 0, max(c - q r, 0)
-    # and their one-ulp bumps; a repeated threshold repeats a row, harmlessly.
-    # Accepted sets are packed bitwise into 64-bit words, one row each.
-    width = -(-n // 64) * 8
-    step = max(1, _ORACLE_CHUNK_CELLS // ((2 * n + 1) * n))
+    bits = _worker_bits(n)
+    step = max(1, _ORACLE_CHUNK_ROWS // (2 * n + 2))
     # per-chunk candidates; merging them whenever they outnumber the merged
     # table bounds the memory and keeps the total merge work near linear
     kept: list[Candidates] = []
     pending = 0
     for start in range(0, len(samples), step):
-        q = samples[start : start + step]
-        qr = q[:, None] * r
-        bases = np.maximum(c - qr, 0.0)
-        thresholds = np.concatenate(
-            [np.zeros((len(q), 1)), bases, np.nextafter(bases, np.inf)], axis=1
-        )
-        # the float expression of accepted_set, so reports reproduce the rows
-        accept = thresholds[:, :, None] + qr[:, None, :] >= c
-        # spend >= threshold * |accepted|, so rows over budget by that alone go first
-        base_spend = thresholds * np.count_nonzero(accept, axis=2)
-        live = base_spend <= limit
-        rows = accept[live]
-        p_live = thresholds[live]
-        q_live = np.broadcast_to(q[:, None], thresholds.shape)[live]
-        # einsum, not a BLAS matvec: on C-ordered rows its per-row sum
-        # depends on the row alone, and it wakes no helper threads
-        spend = base_spend[live] + q_live * np.einsum("ij,j->i", rows, r)
-        ok = spend <= limit
-        packed = np.zeros((int(ok.sum()), width), dtype=np.uint8)
-        packed[:, : -(-n // 8)] = np.packbits(rows[ok], axis=1)
-        kept.append(_cheapest_per_set((packed.view(np.uint64), spend[ok], p_live[ok], q_live[ok])))
+        rows = _chunk_candidates(samples[start : start + step], r, c, bits, limit)
+        kept.append(_cheapest_per_set(rows))
         pending += len(kept[-1][1])
         if pending > len(kept[0][1]):
             kept, pending = [_cheapest_per_set(*kept)], 0

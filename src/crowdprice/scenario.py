@@ -25,7 +25,7 @@ from .bonus import (
     policy_from_config,
     translate,
 )
-from .common import CpSolveReport, cp_exact_oracle, cp_for_regime, cp_no_bonus
+from .common import ORACLE_LIMIT, CpSolveReport, cp_exact_oracle, cp_for_regime, cp_no_bonus
 from .errors import ConfigError, InvariantBreach
 from .personalized import (
     ENUMERATION_LIMIT,
@@ -40,9 +40,6 @@ from .workers import Regime, WorkerProfile, decide, empirical_regime, load_worke
 
 __all__ = ["Scenario", "SweepPointResult", "RunResult", "run_scenario", "emit_plot_data"]
 
-# default ``oracle_max_n``: the most workers a sweep point hands to the exact oracle
-SCENARIO_ORACLE_LIMIT = 16
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -54,7 +51,7 @@ class Scenario:
     seed: int
     pp_mode: str = "auto"  # auto | exact | greedy
     cp_mode: str = "auto"  # auto | oracle | regime
-    oracle_max_n: int = SCENARIO_ORACLE_LIMIT
+    oracle_max_n: int = ORACLE_LIMIT
     cross_check: bool = False
     output_dir: str | None = None
 
@@ -96,7 +93,7 @@ class Scenario:
                 seed=seed,
                 pp_mode=pp_mode,
                 cp_mode=cp_mode,
-                oracle_max_n=int(solvers.get("oracle_max_n", SCENARIO_ORACLE_LIMIT)),
+                oracle_max_n=int(solvers.get("oracle_max_n", ORACLE_LIMIT)),
                 cross_check=bool(solvers.get("cross_check", False)),
                 output_dir=cfg.get("output"),
             )

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from crowdprice import load_workers, make_additive
 from crowdprice.cli import main
+from crowdprice.common import ORACLE_LIMIT
 from crowdprice.scenario import Scenario, _solve_cp
 from crowdprice.workers import Regime, empirical_regime
 
@@ -66,7 +67,7 @@ class TestCpCommand:
         assert json.loads(result.output)["bonus"] == 0.0
 
     def test_oracle_size_limit_exit_code(self, runner, tmp_path):
-        rows = "\n".join(f"{i},0.5,0.5" for i in range(1, 17))
+        rows = "\n".join(f"{i},0.5,0.5" for i in range(1, ORACLE_LIMIT + 2))
         path = tmp_path / "big.csv"
         path.write_text("id,quality,cost\n" + rows + "\n", encoding="utf-8")
         result = runner.invoke(main, ["cp", "--workers", str(path), "--budget", "1", "--oracle"])

@@ -22,7 +22,7 @@ from crowdprice import (
     make_typo,
     structure_of,
 )
-from crowdprice.common import StructureKind, make_report
+from crowdprice.common import ORACLE_LIMIT, StructureKind, make_report
 from crowdprice.errors import SizeError
 
 
@@ -266,7 +266,7 @@ class TestOracle:
         assert cp_exact_oracle(w, 0.1, make_additive()).utility_value == 0.0
 
     def test_size_guard(self):
-        workers = tuple(WorkerProfile(0.5, 0.5, i) for i in range(15))
+        workers = tuple(WorkerProfile(0.5, 0.5, i) for i in range(ORACLE_LIMIT + 1))
         with pytest.raises(SizeError):
             cp_exact_oracle(workers, 1.0, make_additive())
 
@@ -373,6 +373,37 @@ def differential_pools(rng, count, n_lo, n_hi):
         yield workers, budget, utilities[(k // 4) % 4]
 
 
+def boundary_pools():
+    """Hand-built pools at the float edges of the oracle's rows, each under
+    typo m = 1 and additive: duplicate lines, zero-quality workers, keys
+    c - q r one or two ulps apart, and budgets equal to a candidate's exact
+    spend."""
+
+    def ulps(x, k):
+        for _ in range(k):
+            x = float(np.nextafter(x, np.inf))
+        return x
+
+    def pool(lines):
+        return [WorkerProfile(r, c, i) for i, (r, c) in enumerate(lines, start=1)]
+
+    duplicates = pool([(0.5, 0.3)] * 3 + [(0.8, 0.6)] * 2 + [(0.2, 0.1), (0.9, 0.9)])
+    ungraded = pool([(0.0, 0.2), (0.0, 0.5), (0.0, 0.0), (0.6, 0.4), (0.3, 0.1), (0.6, 0.4)])
+    # keys 1-2 ulps apart at every bonus, q = 0 included; the last two
+    # lines cross at q = 0.5, where their keys round within an ulp
+    close = pool(
+        [(0.4, 0.3), (0.4, ulps(0.3, 1)), (0.4, ulps(0.3, 2)), (0.7, 0.5), (0.7, ulps(0.5, 1))]
+        + [(0.3, 0.7), (0.7, 0.9)]
+    )
+    for workers in (duplicates, ungraded, close):
+        for utility in (make_typo(25, 1), make_additive()):
+            yield workers, 0.4 * sum(w.cost for w in workers), utility
+            # the exact spend of the pure bonus that recruits each graded worker
+            for w in workers[::2]:
+                if w.quality > 0.0:
+                    yield workers, accepted_set(workers, (0.0, w.cost / w.quality))[1], utility
+
+
 class TestOracleMatchesLoopReference:
     @staticmethod
     def check(workers, budget, utility):
@@ -399,6 +430,16 @@ class TestOracleMatchesLoopReference:
         for workers, budget, utility in differential_pools(rng, 6, 32, 48):
             self.check(workers, budget, utility)
 
+    def test_two_word_pools(self):
+        # more than 64 workers: each accepted set spans two 64-bit words
+        rng = np.random.default_rng(54)
+        for workers, budget, utility in differential_pools(rng, 2, 65, 72):
+            self.check(workers, budget, utility)
+
+    def test_float_boundary_pools(self):
+        for workers, budget, utility in boundary_pools():
+            self.check(workers, budget, utility)
+
 
 class TestOracleAtScale:
     def test_dominates_every_solver_and_reproduces(self):
@@ -420,3 +461,18 @@ class TestOracleAtScale:
             accepted, spent = accepted_set(workers, oracle.policy)
             assert accepted == oracle.accepted
             assert spent == oracle.spent <= budget
+
+    def test_regime_solvers_reach_the_optimum(self):
+        # cp_res is not compared: its binary mode is known to miss on some
+        # responsive pools, and gets its test with the fix
+        rng = np.random.default_rng(58)
+        # cp_subres runs in its default binary mode
+        for maker, solver in ((unresponsive_curve, cp_unres), (subresponsive_curve, cp_subres)):
+            for utility in (make_typo(25, 1), make_additive()):
+                curve, lo, hi = maker(rng)
+                n = int(rng.integers(60, 81))
+                workers = curve_profile(curve, rng, n, lo, hi)
+                budget = float(rng.uniform(0.1, 1.2) * sum(w.cost for w in workers))
+                oracle = cp_exact_oracle(workers, budget, utility, max_n=n)
+                report = solver(workers, budget, utility, diagnostics=False)
+                assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
