@@ -187,18 +187,60 @@ def make_report(
     )
 
 
-ReportAt = Callable[[float, float], CpSolveReport]
+# the rank make_report's fields imply: (-utility, spend, base, bonus)
+Key = tuple[float, float, float, float]
 
 
-def _reporter(workers: Sequence[WorkerProfile], utility: UtilityFunction) -> ReportAt:
-    """``make_report`` at (p, q) on a fixed worker list, bound once."""
-    return partial(make_report, workers, utility, kernel=utility.bind(workers))
+class _Scorer:
+    """Ranks common-pricing probes on one worker list and budget by the key
+    their ``make_report`` would carry, without building the reports.
 
+    A batch of probes is tested at once with ``accepted_set``'s expression
+    p + q r_i >= c_i, spend is the same ``math.fsum`` of the accepted
+    payments, and each distinct set is scored once, memoised by its packed
+    mask, on a single kernel row as ``make_report`` scores it; so a key
+    equals the fields of its report bit for bit.
+    """
 
-def _better(a: CpSolveReport, b: CpSolveReport) -> bool:
-    ka = (-a.utility_value, a.spent, a.policy.base, a.policy.bonus)
-    kb = (-b.utility_value, b.spent, b.policy.base, b.policy.bonus)
-    return ka < kb
+    def __init__(
+        self, workers: Sequence[WorkerProfile], utility: UtilityFunction, budget: float
+    ) -> None:
+        self.workers = workers
+        self.utility = utility
+        self.budget = budget
+        self.kernel = utility.bind(workers)
+        self.r = np.array([w.quality for w in workers], dtype=float)
+        self.c = np.array([w.cost for w in workers], dtype=float)
+        self.values: dict[bytes, float] = {}
+
+    def keys(self, p: Sequence[float], q: Sequence[float]) -> list[Key]:
+        """Keys of the probes (p[t], q[t]) that spend at most the budget."""
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        pay = p[:, None] + q[:, None] * self.r
+        accept = pay >= self.c
+        width = -(-len(self.r) // 8)
+        packed = np.packbits(accept, axis=1).tobytes()
+        # declined workers add exact zeros, which leave the fsum unchanged
+        paid = np.where(accept, pay, 0.0).tolist()
+        out = []
+        for t, (pt, qt) in enumerate(zip(p.tolist(), q.tolist())):
+            spent = math.fsum(paid[t])
+            if spent > self.budget:
+                continue
+            mask = packed[t * width : (t + 1) * width]
+            value = self.values.get(mask)
+            if value is None:
+                value = self.values[mask] = float(self.kernel(accept[t : t + 1])[0])
+            out.append((-value, spent, pt, qt))
+        return out
+
+    def best(self, p: Sequence[float], q: Sequence[float]) -> Key | None:
+        """The least key among the affordable probes, None if there is none."""
+        return min(self.keys(p, q), default=None)
+
+    def report(self, key: Key) -> CpSolveReport:
+        return make_report(self.workers, self.utility, key[2], key[3], kernel=self.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +277,10 @@ def cp_unres(
             # makes sure the worker's own threshold actually recruits her
             bonuses.add(q)
             bonuses.add(q * (1.0 + 5e-16))
-    report_at = _reporter(workers, utility)
-    best: CpSolveReport | None = None
-    for q in sorted(bonuses):
-        report = report_at(0.0, q)
-        if report.spent <= budget and (best is None or _better(report, best)):
-            best = report
+    scorer = _Scorer(workers, utility, budget)
+    best = scorer.best(np.zeros(len(bonuses)), sorted(bonuses))
     assert best is not None  # q = 0 spends nothing
-    return best
+    return scorer.report(best)
 
 
 def _picking_rows(
@@ -250,7 +288,6 @@ def _picking_rows(
 ) -> list[HalfPlane]:
     """Rows forcing ranks lo..hi (1-based) to accept and their neighbors to
     decline, with the sentinel profile r_0 = r_{n+1} = 0, c_0 = c_{n+1} = B."""
-    n = len(r)
     r_ext = [0.0, *r, 0.0]
     c_ext = [budget, *c, budget]
     span = list(range(lo, hi + 1))
@@ -284,14 +321,9 @@ def _blocking_rows(
     return rows
 
 
-def _candidate(
-    workers: Sequence[WorkerProfile],
-    report_at: ReportAt,
-    budget: float,
-    rows: list[HalfPlane],
-    scale: float,
-) -> CpSolveReport | None:
-    """Best budget-feasible report over the loosened polygon of the rows.
+def _candidate(scorer: _Scorer, rows: list[HalfPlane], scale: float) -> Key | None:
+    """Key of the best budget-feasible probe over the loosened polygon of
+    the rows, or None when no probe is affordable.
 
     The minimum-payment vertex alone is not enough: it can sit exactly on
     a strict decline boundary or drop an accept-boundary worker to float
@@ -299,7 +331,9 @@ def _candidate(
     pulled toward the centroid (strictly interior, where all non-strict
     rows hold with real slack), vertices are repaired off strict
     boundaries by the base-payment schedule, and each probe is evaluated
-    honestly through the decision rule.
+    honestly through the decision rule.  The probes are ranked by
+    ``scorer`` with the key ``make_report`` implies; the caller builds the
+    one report of the solve from the winning key.
     """
     result = feasible_point(rows)
     if not result.feasible:
@@ -319,21 +353,29 @@ def _candidate(
         for t in (1e-6, 0.5):
             points.append((v[0] + t * (cx - v[0]), v[1] + t * (cy - v[1])))
 
-    by_set: dict[tuple[int, ...], tuple[float, float, float]] = {}
-    for p, q in points:
-        accepted, spent = accepted_set(workers, (p, q))
-        if spent > budget:
-            continue
-        entry = (spent, p, q)
-        if accepted not in by_set or entry < by_set[accepted]:
-            by_set[accepted] = entry
+    p, q = zip(*points)
+    return scorer.best(p, q)
 
-    best: CpSolveReport | None = None
-    for _, p, q in by_set.values():
-        report = report_at(p, q)
-        if best is None or _better(report, best):
-            best = report
-    return best
+
+def _least_feasible(attempt: Callable[[int], Key | None], lo: int, hi: int) -> Key | None:
+    """``attempt`` at the smallest index in [lo, hi] where it returns a key,
+    found by bisection on the assumption that feasibility is monotone in
+    the index; None when even ``hi`` is infeasible.  Each index is
+    attempted at most once."""
+    found: dict[int, Key | None] = {}
+
+    def feasible(i: int) -> bool:
+        if i not in found:
+            found[i] = attempt(i)
+        return found[i] is not None
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return found[lo] if feasible(lo) else None
 
 
 def cp_subres(
@@ -363,38 +405,19 @@ def cp_subres(
     c = [workers[i].cost for i in order]
     scale = max([1.0, budget] + c)
 
-    report_at = _reporter(workers, utility)
-    best = report_at(0.0, 0.0)
+    scorer = _Scorer(workers, utility, budget)
+    found = [scorer.best([0.0], [0.0])]
 
-    def attempt(lo: int, hi: int) -> CpSolveReport | None:
-        return _candidate(workers, report_at, budget, _picking_rows(r, c, lo, hi, budget), scale)
+    def attempt(lo: int, hi: int) -> Key | None:
+        return _candidate(scorer, _picking_rows(r, c, lo, hi, budget), scale)
 
     for hi in range(n, 0, -1):
         if mode == "linear":
-            for lo in range(1, hi + 1):
-                report = attempt(lo, hi)
-                if report is not None and _better(report, best):
-                    best = report
+            found += [attempt(lo, hi) for lo in range(1, hi + 1)]
         else:
-            found: dict[int, CpSolveReport | None] = {}
-
-            def feasible(lo: int) -> bool:
-                if lo not in found:
-                    found[lo] = attempt(lo, hi)
-                return found[lo] is not None
-
-            lo, up = 1, hi
-            while lo < up:
-                mid = (lo + up) // 2
-                if feasible(mid):
-                    up = mid
-                else:
-                    lo = mid + 1
-            if feasible(lo):
-                report = found[lo]
-                if report is not None and _better(report, best):
-                    best = report
-    return best
+            found.append(_least_feasible(partial(attempt, hi=hi), 1, hi))
+    # (0, 0) spends nothing, so found holds at least its key
+    return scorer.report(min(key for key in found if key is not None))
 
 
 def cp_res(
@@ -425,45 +448,23 @@ def cp_res(
     c = [workers[i].cost for i in order]
     scale = max([1.0, budget] + c)
 
-    report_at = _reporter(workers, utility)
-    best = report_at(0.0, 0.0)
+    scorer = _Scorer(workers, utility, budget)
+    found = [scorer.best([0.0], [0.0])]
 
     # block nobody: everyone accepts within budget
     rows = [HalfPlane(-1.0, -ri, -ci) for ri, ci in zip(r, c)]
     rows.append(HalfPlane(float(n), math.fsum(r), budget))
-    report = _candidate(workers, report_at, budget, rows, scale)
-    if report is not None and _better(report, best):
-        best = report
+    found.append(_candidate(scorer, rows, scale))
 
-    def attempt(lo: int, hi: int) -> CpSolveReport | None:
-        return _candidate(workers, report_at, budget, _blocking_rows(r, c, lo, hi, budget), scale)
+    def attempt(lo: int, hi: int) -> Key | None:
+        return _candidate(scorer, _blocking_rows(r, c, lo, hi, budget), scale)
 
     for lo in range(1, n + 1):
         if mode == "linear":
-            for hi in range(lo, n + 1):
-                report = attempt(lo, hi)
-                if report is not None and _better(report, best):
-                    best = report
+            found += [attempt(lo, hi) for hi in range(lo, n + 1)]
         else:
-            found: dict[int, CpSolveReport | None] = {}
-
-            def feasible(hi: int) -> bool:
-                if hi not in found:
-                    found[hi] = attempt(lo, hi)
-                return found[hi] is not None
-
-            low, up = lo, n
-            while low < up:
-                mid = (low + up) // 2
-                if feasible(mid):
-                    up = mid
-                else:
-                    low = mid + 1
-            if feasible(low):
-                report = found[low]
-                if report is not None and _better(report, best):
-                    best = report
-    return best
+            found.append(_least_feasible(partial(attempt, lo), lo, n))
+    return scorer.report(min(key for key in found if key is not None))
 
 
 def cp_no_bonus(
@@ -478,16 +479,10 @@ def cp_no_bonus(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     candidates = sorted({0.0} | {w.cost for w in workers})
-    report_at = _reporter(workers, utility)
-    best: CpSolveReport | None = None
-    for p in candidates:
-        report = report_at(p, 0.0)
-        if report.spent > budget:
-            continue
-        if best is None or (report.utility_value, -p) > (best.utility_value, -best.policy.base):
-            best = report
-    assert best is not None  # p = 0 spends nothing
-    return best
+    scorer = _Scorer(workers, utility, budget)
+    keys = scorer.keys(candidates, np.zeros(len(candidates)))
+    # p = 0 spends nothing, so keys is never empty
+    return scorer.report(min(keys, key=lambda key: (key[0], key[2])))
 
 
 def cp_for_regime(

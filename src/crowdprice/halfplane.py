@@ -9,13 +9,19 @@ rows are handled afterwards by nudging the base payment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 __all__ = ["HalfPlane", "FeasibilityResult", "feasible_point", "repair_strict"]
 
 _TOL = 1e-12  # orientation tolerance on normalized coefficients
 _BOUNDARY_TOL = 1e-9
+# 0 for the witness itself, then 2^-k for k = 0..59: the halvings of the
+# base-payment decrement tried before giving up
+_STEPS = np.concatenate([[0.0], np.ldexp(1.0, -np.arange(60))])
 
 
 @dataclass(frozen=True)
@@ -125,22 +131,6 @@ def feasible_point(rows: Sequence[HalfPlane]) -> FeasibilityResult:
     return FeasibilityResult(True, witness, flags, tuple(poly))
 
 
-def _satisfies(point: tuple[float, float], rows: Sequence[HalfPlane]) -> bool:
-    # exact comparisons: a tolerance here would let contradictory systems
-    # (the duplicated-profile degeneracy) "repair" at the dust level
-    p, q = point
-    if p < 0.0 or q < 0.0:
-        return False
-    for row in rows:
-        v = row.value(p, q)
-        if row.strict:
-            if not v < row.rhs:
-                return False
-        elif v > row.rhs:
-            return False
-    return True
-
-
 def repair_strict(
     witness: tuple[float, float],
     rows: Sequence[HalfPlane],
@@ -148,21 +138,40 @@ def repair_strict(
 ) -> tuple[float, float] | None:
     """Move a loosened-system witness off the strict boundaries.
 
-    Decreases p on a geometric schedule eps0 * 2^-k until every strict row
-    holds strictly while the non-strict rows still hold.  Returns None
-    after 60 halvings; that marks a boundary-degenerate system (two
-    adjacent workers sharing a profile), where the exact structure is
-    unattainable for any policy.
+    Returns the witness itself when it already satisfies every row, and
+    otherwise the first point (p - eps0 * 2^-k, q), k = 0..59, with
+    eps0 = 1e-6 * scale, at which p >= 0, every strict row holds strictly
+    and the non-strict rows still hold.  The witness and the whole
+    schedule are tested as one array against the normalized rows, with
+    the float expressions and exact comparisons of trying the points one
+    by one, so on finite input the answer is the same.  Returns None after
+    60 halvings (at once when q < 0); that marks a boundary-degenerate
+    system (two adjacent workers sharing a profile), where the exact
+    structure is unattainable for any policy.
     """
-    normalized = [row.normalized() for row in rows]
-    if _satisfies(witness, normalized):
-        return witness
+    p, q = witness
+    if q < 0.0:
+        return None
     if scale is None:
         scale = max([1.0] + [abs(r.rhs) for r in rows])
-    eps0 = 1e-6 * scale
-    p, q = witness
-    for k in range(60):
-        candidate = (p - eps0 * 2.0**-k, q)
-        if candidate[0] >= 0.0 and _satisfies(candidate, normalized):
-            return candidate
-    return None
+    a_p, a_q_q, limit = [], [], []
+    for row in rows:
+        # HalfPlane.normalized's division, and its value a_p p + a_q q
+        size = max(abs(row.a_p), abs(row.a_q), abs(row.rhs)) or 1.0
+        rhs = row.rhs / size
+        a_p.append(row.a_p / size)
+        a_q_q.append(row.a_q / size * q)
+        # exact comparisons: a tolerance here would let contradictory
+        # systems (the duplicated-profile degeneracy) "repair" at the dust
+        # level.  A float v breaks v <= rhs exactly when v >= the next
+        # float above rhs, so both kinds of row fail at v >= limit.
+        limit.append(rhs if row.strict else math.nextafter(rhs, math.inf))
+    bases = p - (1e-6 * scale) * _STEPS
+    value = np.multiply.outer(a_p, bases)
+    value += np.array(a_q_q)[:, None]
+    ok = bases >= 0.0
+    ok &= ~(value >= np.array(limit)[:, None]).any(axis=0)
+    k = int(ok.argmax())
+    if not ok[k]:
+        return None
+    return witness if k == 0 else (float(bases[k]), q)

@@ -22,7 +22,7 @@ from crowdprice import (
     make_typo,
     structure_of,
 )
-from crowdprice.common import ORACLE_LIMIT, StructureKind, make_report
+from crowdprice.common import ORACLE_LIMIT, StructureKind, _Scorer, make_report
 from crowdprice.errors import SizeError
 
 
@@ -441,6 +441,69 @@ class TestOracleMatchesLoopReference:
             self.check(workers, budget, utility)
 
 
+def loop_keys(workers, utility, budget, points):
+    """The keys of the affordable probes, one ``make_report`` per probe: the
+    reference for ``_Scorer.keys``.  A key is the rank the regime solvers
+    order reports by, (-utility, spend, base, bonus)."""
+    keys = []
+    for p, q in points:
+        report = make_report(workers, utility, p, q)
+        if report.spent <= budget:
+            keys.append((-report.utility_value, report.spent, p, q))
+    return keys
+
+
+class TestScorerMatchesMakeReport:
+    @staticmethod
+    def check(workers, budget, utility, points):
+        ref = loop_keys(workers, utility, budget, points)
+        scorer = _Scorer(workers, utility, budget)
+        p, q = zip(*points)
+        assert scorer.keys(p, q) == ref
+        assert scorer.best(p, q) == min(ref, default=None)
+        if ref:
+            best = min(ref)
+            assert scorer.report(best) == make_report(workers, utility, best[2], best[3])
+
+    def test_random_probes(self):
+        rng = np.random.default_rng(61)
+        for workers, budget, utility in differential_pools(rng, 32, 2, 16):
+            c = max(w.cost for w in workers)
+            q_hi = max(w.cost / w.quality for w in workers if w.quality > 0.0)
+            points = [(float(p), float(q)) for p, q in rng.uniform(0.0, 1.2, size=(40, 2)) * (c, q_hi)]
+            points += [(w.cost, 0.0) for w in workers]
+            self.check(workers, budget, utility, points)
+
+    def test_boundary_probes(self):
+        # every pure-bonus and base threshold, their one-ulp neighbours and
+        # the regime solvers' +-1e-12 nudges; boundary_pools' budgets include
+        # the exact fsum spend of pure-bonus probes
+        for workers, budget, utility in boundary_pools():
+            scale = max([1.0, budget] + [w.cost for w in workers])
+            points = []
+            for w in workers:
+                if w.quality > 0.0:
+                    q = w.cost / w.quality
+                    points += [(0.0, q), (0.0, float(np.nextafter(q, 0.0))), (0.0, q * (1.0 + 5e-16))]
+                for q in (0.0, 0.5, 1.0):
+                    p = max(0.0, w.cost - q * w.quality)
+                    for t in (p, p + 1e-12 * scale, max(0.0, p - 1e-12 * scale)):
+                        points += [(t, q), (float(np.nextafter(t, np.inf)), q)]
+            self.check(workers, budget, utility, points)
+
+    def test_solver_reports_are_make_reports(self):
+        rng = np.random.default_rng(62)
+        for workers, budget, utility in differential_pools(rng, 16, 2, 14):
+            reports = [cp_unres(workers, budget, utility, diagnostics=False)]
+            for solver in (cp_subres, cp_res):
+                for mode in ("binary", "linear"):
+                    reports.append(solver(workers, budget, utility, mode=mode, diagnostics=False))
+            reports.append(cp_no_bonus(workers, budget, utility))
+            for report in reports:
+                policy = report.policy
+                assert report == make_report(workers, utility, policy.base, policy.bonus)
+
+
 class TestOracleAtScale:
     def test_dominates_every_solver_and_reproduces(self):
         rng = np.random.default_rng(53)
@@ -475,4 +538,17 @@ class TestOracleAtScale:
                 budget = float(rng.uniform(0.1, 1.2) * sum(w.cost for w in workers))
                 oracle = cp_exact_oracle(workers, budget, utility, max_n=n)
                 report = solver(workers, budget, utility, diagnostics=False)
+                assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
+
+    def test_linear_modes_reach_the_optimum(self):
+        # binary cp_res is left out: it misses on some responsive pools
+        rng = np.random.default_rng(59)
+        for maker, solver in ((subresponsive_curve, cp_subres), (responsive_curve, cp_res)):
+            for utility in (make_typo(25, 1), make_additive()):
+                curve, lo, hi = maker(rng)
+                n = int(rng.integers(30, 41))
+                workers = curve_profile(curve, rng, n, lo, hi)
+                budget = float(rng.uniform(0.1, 1.2) * sum(w.cost for w in workers))
+                oracle = cp_exact_oracle(workers, budget, utility, max_n=n)
+                report = solver(workers, budget, utility, mode="linear", diagnostics=False)
                 assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
