@@ -30,7 +30,7 @@ print("=== power of bonus in common pricing ===")
 for eps in (0.0, 0.1, 0.5):
     inst = build_pob_instance(16, 1.0, eps)
     no_bonus = cp_no_bonus(inst.workers, inst.budget, make_additive())
-    with_bonus = cp_exact_oracle(inst.workers, inst.budget, make_additive(), max_n=16)
+    with_bonus = cp_exact_oracle(inst.workers, inst.budget, make_additive())
     print(f"  cherries at quality {eps}: no-bonus {no_bonus.utility_value:.2f} "
           f"(policy base {no_bonus.policy.base}) vs with-bonus {with_bonus.utility_value:.2f} "
           f"(bonus {with_bonus.policy.bonus}) -> ratio {pob_ratio(inst):.3f} <= {eps}")

@@ -17,16 +17,8 @@ from pathlib import Path
 import click
 
 from .bonus import bm, invert_bm
-from .common import (
-    ORACLE_LIMIT,
-    cp_exact_oracle,
-    cp_for_regime,
-    cp_no_bonus,
-    cp_res,
-    cp_subres,
-    cp_unres,
-)
-from .comparisons import build_pob_instance, poa_audit, poa_constants, pob_ratio
+from .common import cp_exact_oracle, cp_for_regime, cp_no_bonus, cp_res, cp_subres, cp_unres
+from .comparisons import build_pob_instance, poa_audit, pob_ratio
 from .errors import ConfigError, InvariantBreach, SizeError
 from .personalized import GkpInstance, modified_greedy, solve_gkp_exact, solve_gkp_relaxed
 from .scenario import Scenario, emit_plot_data, run_scenario
@@ -143,7 +135,6 @@ _REGIME_NAMES = {
 )
 @click.option("--oracle", is_flag=True, help="Use the exact (p,q)-plane oracle.")
 @click.option("--no-bonus", "no_bonus", is_flag=True, help="Force the bonus to zero.")
-@click.option("--oracle-max-n", default=ORACLE_LIMIT, show_default=True, type=int)
 @_wrap
 def cp_command(
     workers_path: str,
@@ -152,7 +143,6 @@ def cp_command(
     regime: str,
     oracle: bool,
     no_bonus: bool,
-    oracle_max_n: int,
 ) -> None:
     """Solve common pricing for a worker file."""
     workers = load_workers(workers_path)
@@ -160,10 +150,10 @@ def cp_command(
     if no_bonus:
         report = cp_no_bonus(workers, budget, utility)
     elif oracle:
-        report = cp_exact_oracle(workers, budget, utility, max_n=oracle_max_n)
+        report = cp_exact_oracle(workers, budget, utility)
     elif regime == "auto":
-        fitted = empirical_regime(workers) if len(workers) >= 2 else Regime.UNCLASSIFIED
-        report = cp_for_regime(workers, budget, utility, fitted, oracle_max_n)
+        fitted = empirical_regime(workers)
+        report = cp_for_regime(workers, budget, utility, fitted)
         regime = _REGIME_NAMES.get(fitted, fitted.value)
     else:
         solver = {"unres": cp_unres, "subres": cp_subres, "res": cp_res}[regime]
@@ -198,13 +188,12 @@ def pob_command(n: int, c: float, eps: float) -> None:
 @click.option("--workers", "workers_path", required=True, type=click.Path(exists=True))
 @click.option("--budget", required=True, type=float)
 @click.option("--utility", "utility_spec", default="additive", show_default=True)
-@click.option("--oracle-max-n", default=ORACLE_LIMIT, show_default=True, type=int)
 @_wrap
-def poa_command(workers_path: str, budget: float, utility_spec: str, oracle_max_n: int) -> None:
+def poa_command(workers_path: str, budget: float, utility_spec: str) -> None:
     """Price-of-agnosticity certificate and bound check."""
     workers = load_workers(workers_path)
     utility = _parse_utility(utility_spec)
-    result = poa_audit(workers, budget, utility, oracle_max_n=oracle_max_n)
+    result = poa_audit(workers, budget, utility)
     payload: dict = {"skipped": result.skipped, "reason": result.reason}
     if result.certificate is not None:
         cert = result.certificate

@@ -21,13 +21,7 @@ import numpy as np
 from .errors import SizeError
 from .halfplane import HalfPlane, feasible_point, repair_strict
 from .utilities import MaskKernel, UtilityFunction
-from .workers import (
-    CommonPolicy,
-    Regime,
-    WorkerProfile,
-    sort_by_bang_per_buck,
-    warn_if_off_regime,
-)
+from .workers import CommonPolicy, Regime, WorkerProfile, warn_if_off_regime
 
 __all__ = [
     "StructureKind",
@@ -45,9 +39,10 @@ __all__ = [
     "make_report",
 ]
 
-# the default cap on the workers handed to the exact oracle, shared by the
-# CLI, the scenario runner and the comparisons
-ORACLE_LIMIT = 16
+# the cap on the workers handed to the exact oracle, one 64-bit word per
+# accepted set: the largest word boundary at which the oracle costs at most
+# twice the three regime solvers on unclassified pools (README, "Exact oracle")
+ORACLE_LIMIT = 64
 _ORACLE_CHUNK_ROWS = 1 << 12
 
 
@@ -265,12 +260,10 @@ def cp_unres(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if diagnostics and len(workers) >= 2:
+    if diagnostics:
         warn_if_off_regime(workers, Regime.EFFORT_UNRESPONSIVE)
-    order = sort_by_bang_per_buck(workers)
     bonuses = {0.0}
-    for i in order:
-        w = workers[i]
+    for w in workers:
         if w.quality > 0.0:
             q = w.cost / w.quality
             # fl(q * r) can land one ulp under the cost; the bumped twin
@@ -338,7 +331,7 @@ def _candidate(scorer: _Scorer, rows: list[HalfPlane], scale: float) -> Key | No
     result = feasible_point(rows)
     if not result.feasible:
         return None
-    vertices = list(result.vertices) or [result.witness]
+    vertices = result.vertices
     cx = sum(v[0] for v in vertices) / len(vertices)
     cy = sum(v[1] for v in vertices) / len(vertices)
     nudge = 1e-12 * scale
@@ -397,7 +390,7 @@ def cp_subres(
         raise ValueError("budget must be >= 0")
     if mode not in ("binary", "linear"):
         raise ValueError(f"unknown mode {mode!r}")
-    if diagnostics and len(workers) >= 2:
+    if diagnostics:
         warn_if_off_regime(workers, Regime.EFFORT_SUBRESPONSIVE)
     n = len(workers)
     order = _quality_order(workers)
@@ -440,7 +433,7 @@ def cp_res(
         raise ValueError("budget must be >= 0")
     if mode not in ("binary", "linear"):
         raise ValueError(f"unknown mode {mode!r}")
-    if diagnostics and len(workers) >= 2:
+    if diagnostics:
         warn_if_off_regime(workers, Regime.EFFORT_RESPONSIVE)
     n = len(workers)
     order = _quality_order(workers)
@@ -490,13 +483,12 @@ def cp_for_regime(
     budget: float,
     utility: UtilityFunction,
     regime: Regime,
-    oracle_max_n: int = ORACLE_LIMIT,
 ) -> CpSolveReport:
     """Common pricing by the solver of the profile's regime.
 
     An unclassified profile goes to the exact oracle when it has at most
-    ``oracle_max_n`` workers, and otherwise to the best of the three
-    regime solvers.
+    ``ORACLE_LIMIT`` (64) workers, and otherwise to the best of the three
+    regime solvers, which are exact only on the regime they assume.
     """
     solvers = {
         Regime.EFFORT_UNRESPONSIVE: cp_unres,
@@ -505,8 +497,8 @@ def cp_for_regime(
     }
     if regime in solvers:
         return solvers[regime](workers, budget, utility, diagnostics=False)
-    if len(workers) <= oracle_max_n:
-        return cp_exact_oracle(workers, budget, utility, max_n=oracle_max_n)
+    if len(workers) <= ORACLE_LIMIT:
+        return cp_exact_oracle(workers, budget, utility)
     candidates = [
         solve(workers, budget, utility, diagnostics=False) for solve in solvers.values()
     ]
@@ -695,6 +687,12 @@ def cp_exact_oracle(
     Oracle alone, best of 7 on one responsive pool (2-vCPU VM, numpy 2.4),
     accept tensor -> prefix evaluation: n = 16: 4.8 -> 3.4 ms, n = 32:
     38 -> 20 ms, n = 48: 141 -> 61 ms, n = 60: 371 -> 136 ms.
+
+    ``max_n`` defaults to ``ORACLE_LIMIT`` (64): up to there the oracle
+    takes at most twice as long as the three regime solvers that
+    ``cp_for_regime`` falls back to (median on unclassified pools: 50 vs
+    37 ms at n = 64, 516 vs 110 ms at n = 128).  Callers that accept the
+    cost past it pass ``max_n=n``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

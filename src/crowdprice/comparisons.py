@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import ORACLE_LIMIT, cp_exact_oracle, cp_no_bonus
+from .common import cp_exact_oracle, cp_no_bonus
 from .errors import InvariantBreach
 from .personalized import GkpInstance, solve_gkp_exact
 from .utilities import UtilityFunction, make_additive
@@ -79,9 +79,7 @@ def pob_ratio(instance: PobInstance, utility: UtilityFunction | None = None) -> 
     """
     utility = utility or make_additive()
     no_bonus = cp_no_bonus(instance.workers, instance.budget, utility)
-    with_bonus = cp_exact_oracle(
-        instance.workers, instance.budget, utility, max_n=max(ORACLE_LIMIT, instance.n)
-    )
+    with_bonus = cp_exact_oracle(instance.workers, instance.budget, utility, max_n=instance.n)
     if with_bonus.utility_value <= 0.0:
         raise InvariantBreach("with-bonus optimum must be positive for n >= 4")
     ratio = no_bonus.utility_value / with_bonus.utility_value
@@ -151,7 +149,6 @@ def poa_audit(
     budget: float,
     utility: UtilityFunction,
     tol: float = 1e-9,
-    oracle_max_n: int = ORACLE_LIMIT,
 ) -> PoaAuditResult:
     """Check the price-of-agnosticity bounds with exact solvers.
 
@@ -160,6 +157,8 @@ def poa_audit(
     skipped rather than as failures.  On gated instances the common-price
     optimum at budget delta * B must reach half the personalized optimum
     at budget B, and under an additive utility also the gamma fraction.
+    The common-price optimum comes from the exact oracle, so profiles of
+    more than ``ORACLE_LIMIT`` (64) workers raise ``SizeError``.
     """
     workers = sorted(workers, key=lambda w: (-bang_per_buck(w), str(w.id)))
     instance = GkpInstance(workers=tuple(workers), budget=budget, utility=utility)
@@ -181,7 +180,7 @@ def poa_audit(
     except ValueError as exc:
         return PoaAuditResult(certificate=None, skipped=True, reason=str(exc))
 
-    scaled = cp_exact_oracle(workers, cert.delta * budget, utility, max_n=oracle_max_n)
+    scaled = cp_exact_oracle(workers, cert.delta * budget, utility)
     u_cp = scaled.utility_value
     half_ok = u_cp >= 0.5 * u_pp - tol
     gamma_ok = None

@@ -50,8 +50,7 @@ class Scenario:
     budget: float
     seed: int
     pp_mode: str = "auto"  # auto | exact | greedy
-    cp_mode: str = "auto"  # auto | oracle | regime
-    oracle_max_n: int = ORACLE_LIMIT
+    cp_mode: str = "auto"  # auto | oracle
     cross_check: bool = False
     output_dir: str | None = None
 
@@ -68,21 +67,24 @@ class Scenario:
             if pop_file is not None and not Path(pop_file).exists():
                 raise ConfigError(f"population file {pop_file!r} does not exist")
             utility = cfg["utility"]
-            if utility.get("kind") not in ("typo", "additive", "binary_labeling"):
-                raise ConfigError(f"unknown utility kind {utility.get('kind')!r}")
             sweep = [policy_from_config(entry) for entry in cfg["bonus_policies"]]
             if not sweep:
                 raise ConfigError("bonus policy sweep must be nonempty")
+            for policy in sweep:
+                _utility_for_point(utility, policy)
             budget = float(cfg["budget"])
             if budget < 0:
                 raise ConfigError("budget must be >= 0")
             seed = int(cfg.get("seed", 0))
             solvers = cfg.get("solvers", {})
+            unknown = set(solvers) - {"pp", "cp", "cross_check"}
+            if unknown:
+                raise ConfigError(f"unknown solvers keys {sorted(unknown)}")
             pp_mode = solvers.get("pp", "auto")
             cp_mode = solvers.get("cp", "auto")
             if pp_mode not in ("auto", "exact", "greedy"):
                 raise ConfigError(f"unknown pp solver mode {pp_mode!r}")
-            if cp_mode not in ("auto", "oracle", "regime"):
+            if cp_mode not in ("auto", "oracle"):
                 raise ConfigError(f"unknown cp solver mode {cp_mode!r}")
             return cls(
                 population_file=pop_file,
@@ -93,11 +95,10 @@ class Scenario:
                 seed=seed,
                 pp_mode=pp_mode,
                 cp_mode=cp_mode,
-                oracle_max_n=int(solvers.get("oracle_max_n", ORACLE_LIMIT)),
                 cross_check=bool(solvers.get("cross_check", False)),
                 output_dir=cfg.get("output"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid scenario config: {exc}") from exc
@@ -200,11 +201,11 @@ def _population(scenario: Scenario) -> AbilityProfile:
     )
 
 
-def _utility_for_point(scenario: Scenario, policy: BonusPolicy) -> UtilityFunction:
+def _utility_for_point(utility: dict, policy: BonusPolicy) -> UtilityFunction:
     # a typo utility inverts qualities with the same qualification the bonus
     # policy used, so the requester's payoff is measured in abilities
     m = policy.m if policy.kind == "threshold" else None
-    return utility_from_config({**scenario.utility, "m": m})
+    return utility_from_config({**utility, "m": m})
 
 
 def _solve_pp(scenario: Scenario, instance: GkpInstance) -> tuple[Selection, str]:
@@ -222,12 +223,12 @@ def _solve_cp(
     utility: UtilityFunction,
     regime: Regime,
 ) -> CpSolveReport:
-    budget, max_n = scenario.budget, scenario.oracle_max_n
+    budget = scenario.budget
     if scenario.cp_mode == "oracle":
-        return cp_exact_oracle(workers, budget, utility, max_n=max_n)
-    report = cp_for_regime(workers, budget, utility, regime, max_n)
-    if scenario.cp_mode == "auto" and scenario.cross_check and len(workers) <= max_n:
-        oracle = cp_exact_oracle(workers, budget, utility, max_n=max_n)
+        return cp_exact_oracle(workers, budget, utility)
+    report = cp_for_regime(workers, budget, utility, regime)
+    if scenario.cross_check and len(workers) <= ORACLE_LIMIT:
+        oracle = cp_exact_oracle(workers, budget, utility)
         if oracle.utility_value > report.utility_value + 1e-9:
             raise InvariantBreach(
                 f"regime solver ({regime.value}) returned {report.utility_value}, "
@@ -244,8 +245,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     points = []
     for policy in scenario.bonus_policies:
         workers = translate(population, policy)
-        regime = empirical_regime(workers) if len(workers) >= 2 else Regime.UNCLASSIFIED
-        utility = _utility_for_point(scenario, policy)
+        regime = empirical_regime(workers)
+        utility = _utility_for_point(scenario.utility, policy)
         instance = GkpInstance(workers=tuple(workers), budget=scenario.budget, utility=utility)
         pp, pp_mode = _solve_pp(scenario, instance)
         # personalized pricing needs no bonus: paying cost as base recruits

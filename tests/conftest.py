@@ -49,3 +49,14 @@ def responsive_curve(rng):
     a = float(rng.uniform(0.5, 1.0))
     e = float(rng.uniform(1.3, 3.0))
     return (lambda c: a * c**e), 0.05, 1.0
+
+
+def uniform_pool(seed, n: int):
+    """Qualities U(0, 1) and costs U(0.01, 1), ids 1..n, budget half the
+    total cost: mostly profiles that no regime fits, for the regime
+    dispatch."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0, 1, n)
+    c = rng.uniform(0.01, 1, n)
+    workers = tuple(WorkerProfile(float(r[i]), float(c[i]), i + 1) for i in range(n))
+    return workers, 0.5 * float(c.sum())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from crowdprice import load_workers, make_additive
+from conftest import uniform_pool
+from crowdprice import cp_exact_oracle, cp_res, cp_subres, cp_unres, load_workers, make_additive
 from crowdprice.cli import main
 from crowdprice.common import ORACLE_LIMIT
 from crowdprice.scenario import Scenario, _solve_cp
@@ -22,6 +23,13 @@ def runner():
 def workers_file(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text(WORKERS_CSV, encoding="utf-8")
+    return str(path)
+
+
+def write_workers(tmp_path, workers):
+    path = tmp_path / "workers.csv"
+    rows = "\n".join(f"{w.id},{w.quality!r},{w.cost!r}" for w in workers)
+    path.write_text("id,quality,cost\n" + rows + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -74,8 +82,8 @@ class TestCpCommand:
         assert result.exit_code == 3
 
     def test_auto_solves_large_unclassified_profile(self, runner, tmp_path):
-        # too many workers for the oracle: the shared dispatch falls back
-        # to the best regime solver, as the scenario runner does
+        # 20 workers fit the oracle cap: the shared dispatch sends the
+        # profile to the oracle, as the scenario runner does
         rng = np.random.default_rng(7)
         rows = "\n".join(f"{i},{rng.uniform()!r},{rng.uniform()!r}" for i in range(1, 21))
         path = tmp_path / "unclassified.csv"
@@ -92,6 +100,41 @@ class TestCpCommand:
         report = _solve_cp(settings, workers, make_additive(), Regime.UNCLASSIFIED)
         assert payload["utility"] == report.utility_value
         assert payload["accepted"] == list(report.accepted)
+
+    def test_auto_reaches_the_oracle_on_an_unclassified_pool(self, runner, tmp_path):
+        workers, budget = uniform_pool([1, 17], 17)
+        path = write_workers(tmp_path, workers)
+        result = runner.invoke(
+            main, ["cp", "--workers", path, "--budget", repr(budget), "--regime", "auto"]
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["regime"] == "unclassified"
+        oracle = cp_exact_oracle(load_workers(path), budget, make_additive())
+        assert payload["utility"] == oracle.utility_value == pytest.approx(5.0945, abs=1e-4)
+        assert payload["accepted"] == list(oracle.accepted)
+
+    def test_auto_falls_back_past_the_oracle_cap(self, runner, tmp_path):
+        # one worker too many for the oracle: the best of the regime solvers
+        workers, budget = uniform_pool([1, ORACLE_LIMIT + 1], ORACLE_LIMIT + 1)
+        path = write_workers(tmp_path, workers)
+        workers = load_workers(path)
+        assert empirical_regime(workers) is Regime.UNCLASSIFIED
+        args = ["cp", "--workers", path, "--budget", repr(budget)]
+        result = runner.invoke(main, args + ["--regime", "auto"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        settings = Scenario(
+            population_file=None, generator={}, utility={}, bonus_policies=(), budget=budget, seed=0
+        )
+        report = _solve_cp(settings, workers, make_additive(), Regime.UNCLASSIFIED)
+        best = max(
+            solver(workers, budget, make_additive(), diagnostics=False).utility_value
+            for solver in (cp_unres, cp_subres, cp_res)
+        )
+        assert payload["utility"] == report.utility_value == best
+        assert payload["accepted"] == list(report.accepted)
+        assert runner.invoke(main, args + ["--oracle"]).exit_code == 3
 
     def test_regime_choice(self, runner, workers_file):
         result = runner.invoke(
@@ -143,6 +186,20 @@ class TestSimulateCommand:
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text(json.dumps({"population": {}}), encoding="utf-8")
         result = runner.invoke(main, ["simulate", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("utility", [{"kind": "typo"}, "typo"])
+    def test_malformed_utility_exit_code(self, runner, tmp_path, utility):
+        config = {
+            "population": {"generator": {"n": 6, "seed": 9}},
+            "utility": utility,
+            "bonus_policies": [{"kind": "linear", "M": 25}],
+            "budget": 1.5,
+        }
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 2
 
 

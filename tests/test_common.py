@@ -7,13 +7,16 @@ from conftest import (
     curve_profile,
     responsive_curve,
     subresponsive_curve,
+    uniform_pool,
     unresponsive_curve,
 )
 from crowdprice import (
+    Regime,
     WorkerProfile,
     accepted_set,
     classify_structure,
     cp_exact_oracle,
+    cp_for_regime,
     cp_no_bonus,
     cp_res,
     cp_subres,
@@ -24,6 +27,7 @@ from crowdprice import (
 )
 from crowdprice.common import ORACLE_LIMIT, StructureKind, _Scorer, make_report
 from crowdprice.errors import SizeError
+from crowdprice.workers import empirical_regime
 
 
 def pob_workers(n=16, c=1.0, eps=0.1):
@@ -402,6 +406,17 @@ def boundary_pools():
             for w in workers[::2]:
                 if w.quality > 0.0:
                     yield workers, accepted_set(workers, (0.0, w.cost / w.quality))[1], utility
+
+
+class TestCpForRegime:
+    def test_unclassified_pool_gets_the_oracle_optimum(self):
+        # the best of the three regime solvers reaches only 4.6599 here
+        workers, budget = uniform_pool([1, 17], 17)
+        assert empirical_regime(workers) is Regime.UNCLASSIFIED
+        utility = make_additive()
+        report = cp_for_regime(workers, budget, utility, Regime.UNCLASSIFIED)
+        assert report == cp_exact_oracle(workers, budget, utility)
+        assert report.utility_value == pytest.approx(5.0945, abs=1e-4)
 
 
 class TestOracleMatchesLoopReference:

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from crowdprice import Regime, decide, emit_plot_data, run_scenario
-from crowdprice.errors import ConfigError
+from crowdprice import Regime, common, decide, emit_plot_data, run_scenario
+from crowdprice.errors import ConfigError, InvariantBreach
 from crowdprice.scenario import Scenario
 
 
@@ -51,6 +51,20 @@ class TestConfigValidation:
     def test_unknown_solver_mode(self):
         cfg = small_config()
         cfg["solvers"] = {"pp": "psychic"}
+        with pytest.raises(ConfigError):
+            Scenario.from_config(cfg)
+
+    @pytest.mark.parametrize("solvers", [{"cp": "regime"}, {"oracle_max_n": 16}, ["pp"]])
+    def test_unknown_solver_settings(self, solvers):
+        cfg = small_config()
+        cfg["solvers"] = solvers
+        with pytest.raises(ConfigError):
+            Scenario.from_config(cfg)
+
+    @pytest.mark.parametrize("utility", [{"kind": "typo"}, "typo", {"kind": "psychic"}])
+    def test_malformed_utility(self, utility):
+        cfg = small_config()
+        cfg["utility"] = utility
         with pytest.raises(ConfigError):
             Scenario.from_config(cfg)
 
@@ -100,6 +114,38 @@ class TestRunScenario:
         cfg["population"] = {"file": str(path)}
         result = run_scenario(Scenario.from_config(cfg))
         assert len(result.points[0].workers) == 3
+
+
+def demo_config():
+    # the scenario of demos/05_typo_simulation.py
+    return {
+        "population": {"generator": {"n": 15, "seed": 9}},
+        "utility": {"kind": "typo", "M": 25},
+        "bonus_policies": [{"kind": "threshold", "m": m, "M": 25} for m in range(15, 26)]
+        + [{"kind": "linear", "M": 25}],
+        "budget": 4.0,
+        "seed": 9,
+    }
+
+
+class TestCrossCheck:
+    def test_demo_sweep_passes(self):
+        cfg = demo_config()
+        plain = run_scenario(Scenario.from_config(cfg))
+        cfg["solvers"] = {"cross_check": True}
+        checked = run_scenario(Scenario.from_config(cfg))
+        assert [pt.cp for pt in checked.points] == [pt.cp for pt in plain.points]
+
+    def test_worse_regime_report_is_a_breach(self, monkeypatch):
+        def nothing(workers, budget, utility, diagnostics=True):
+            return common.make_report(workers, utility, 0.0, 0.0)
+
+        monkeypatch.setattr(common, "cp_unres", nothing)
+        cfg = small_config()
+        assert run_scenario(Scenario.from_config(cfg)).points[0].cp.utility_value == 0.0
+        cfg["solvers"] = {"cross_check": True}
+        with pytest.raises(InvariantBreach):
+            run_scenario(Scenario.from_config(cfg))
 
 
 class TestThresholdOne:
@@ -154,19 +200,8 @@ class TestEmitPlotData:
                 assert pt.cp.policy.base == 0.0
 
     def test_typo_demo_reproduces_committed_figure_data(self, tmp_path):
-        # the scenario of demos/05_typo_simulation.py; manifest.json is left
-        # out, since it records the numpy version
-        scenario = Scenario.from_config(
-            {
-                "population": {"generator": {"n": 15, "seed": 9}},
-                "utility": {"kind": "typo", "M": 25},
-                "bonus_policies": [{"kind": "threshold", "m": m, "M": 25} for m in range(15, 26)]
-                + [{"kind": "linear", "M": 25}],
-                "budget": 4.0,
-                "seed": 9,
-            }
-        )
-        emit_plot_data(run_scenario(scenario), tmp_path)
+        # manifest.json is left out, since it records the numpy version
+        emit_plot_data(run_scenario(Scenario.from_config(demo_config())), tmp_path)
         golden = Path(__file__).resolve().parents[1] / "demos" / "out"
         for name in ("curves.csv", "decisions.csv", "pricing.csv", "utilities.csv"):
             assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name

@@ -222,6 +222,11 @@ class TestEmpiricalRegime:
             workers = translate(population, policy)
             assert empirical_regime(workers) is _scipy_reference_regime(workers)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_too_few_workers_are_unclassified(self, n):
+        workers = [WorkerProfile(0.3 * i + 0.1, 0.2 * i + 0.1, i) for i in range(n)]
+        assert empirical_regime(workers) is Regime.UNCLASSIFIED
+
     def test_runtime_calls_do_not_import_scipy(self, tmp_path):
         rows = "\n".join(f"{i},{0.15 * i:.2f},{0.1 * i:.1f}" for i in range(1, 7))
         path = tmp_path / "six.csv"
