@@ -258,7 +258,7 @@ def cp_unres(
     zero quality and positive cost would need an infinite bonus and are
     skipped as candidates.
     """
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be >= 0")
     if diagnostics:
         warn_if_off_regime(workers, Regime.EFFORT_UNRESPONSIVE)
@@ -386,7 +386,7 @@ def cp_subres(
     one, "linear" tries every l and keeps the best report, which is the
     audit guard for that assumption.
     """
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be >= 0")
     if mode not in ("binary", "linear"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -429,7 +429,7 @@ def cp_res(
     most utility), "linear" tries them all.  The block-nobody candidate
     (accept everyone) is handled separately since it constrains all ranks.
     """
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be >= 0")
     if mode not in ("binary", "linear"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -469,7 +469,7 @@ def cp_no_bonus(
     distinct costs are the only candidate bases; ties prefer the smaller
     base.
     """
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be >= 0")
     candidates = sorted({0.0} | {w.cost for w in workers})
     scorer = _Scorer(workers, utility, budget)
@@ -694,7 +694,7 @@ def cp_exact_oracle(
     37 ms at n = 64, 516 vs 110 ms at n = 128).  Callers that accept the
     cost past it pass ``max_n=n``.
     """
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be >= 0")
     n = len(workers)
     if n > max_n:

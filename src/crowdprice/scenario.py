@@ -73,7 +73,7 @@ class Scenario:
             for policy in sweep:
                 _utility_for_point(utility, policy)
             budget = float(cfg["budget"])
-            if budget < 0:
+            if not budget >= 0:
                 raise ConfigError("budget must be >= 0")
             seed = int(cfg.get("seed", 0))
             solvers = cfg.get("solvers", {})
@@ -86,6 +86,9 @@ class Scenario:
                 raise ConfigError(f"unknown pp solver mode {pp_mode!r}")
             if cp_mode not in ("auto", "oracle"):
                 raise ConfigError(f"unknown cp solver mode {cp_mode!r}")
+            cross_check = solvers.get("cross_check", False)
+            if not isinstance(cross_check, bool):
+                raise ConfigError(f"cross_check must be true or false, got {cross_check!r}")
             return cls(
                 population_file=pop_file,
                 generator=generator,
@@ -95,7 +98,7 @@ class Scenario:
                 seed=seed,
                 pp_mode=pp_mode,
                 cp_mode=cp_mode,
-                cross_check=bool(solvers.get("cross_check", False)),
+                cross_check=cross_check,
                 output_dir=cfg.get("output"),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -227,7 +230,9 @@ def _solve_cp(
     if scenario.cp_mode == "oracle":
         return cp_exact_oracle(workers, budget, utility)
     report = cp_for_regime(workers, budget, utility, regime)
-    if scenario.cross_check and len(workers) <= ORACLE_LIMIT:
+    # an unclassified point within the oracle's cap got the oracle's report
+    classified = regime is not Regime.UNCLASSIFIED
+    if scenario.cross_check and classified and len(workers) <= ORACLE_LIMIT:
         oracle = cp_exact_oracle(workers, budget, utility)
         if oracle.utility_value > report.utility_value + 1e-9:
             raise InvariantBreach(

@@ -162,6 +162,33 @@ class TestAnalysisCommands:
         assert "skipped" in json.loads(result.output)
 
 
+BUDGET_VERBS = [
+    ["pp", "--mode", "exact"],
+    ["pp", "--mode", "greedy"],
+    ["pp", "--mode", "relaxed"],
+    ["cp"],
+    ["cp", "--oracle"],
+    ["cp", "--no-bonus"],
+    ["cp", "--regime", "unres"],
+    ["cp", "--regime", "subres"],
+    ["cp", "--regime", "res"],
+    ["poa"],
+]
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("verb", BUDGET_VERBS, ids=" ".join)
+    def test_nan_budget_is_a_usage_error(self, runner, workers_file, verb):
+        result = runner.invoke(main, verb + ["--workers", workers_file, "--budget", "nan"])
+        assert result.exit_code == 2
+        assert "budget must be >= 0" in result.output
+
+    @pytest.mark.parametrize("verb", BUDGET_VERBS, ids=" ".join)
+    def test_infinite_budget_is_accepted(self, runner, workers_file, verb):
+        result = runner.invoke(main, verb + ["--workers", workers_file, "--budget", "inf"])
+        assert result.exit_code == 0
+
+
 class TestSimulateCommand:
     def test_end_to_end(self, runner, tmp_path):
         config = {
@@ -187,6 +214,19 @@ class TestSimulateCommand:
         cfg_path.write_text(json.dumps({"population": {}}), encoding="utf-8")
         result = runner.invoke(main, ["simulate", "--config", str(cfg_path)])
         assert result.exit_code == 2
+
+    def test_nan_budget_exit_code(self, runner, tmp_path):
+        config = {
+            "population": {"generator": {"n": 6, "seed": 9}},
+            "utility": {"kind": "typo", "M": 25},
+            "bonus_policies": [{"kind": "linear", "M": 25}],
+            "budget": float("nan"),
+        }
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        assert "budget must be >= 0" in result.output
 
     @pytest.mark.parametrize("utility", [{"kind": "typo"}, "typo"])
     def test_malformed_utility_exit_code(self, runner, tmp_path, utility):

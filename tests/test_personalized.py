@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from crowdprice import (
     WorkerProfile,
     decide,
     make_additive,
+    make_binary_labeling,
     make_typo,
     modified_greedy,
     policy_from_selection,
@@ -18,7 +20,7 @@ from crowdprice import (
     solve_opp_no_bonus,
     sort_by_bang_per_buck,
 )
-from crowdprice.errors import SizeError
+from crowdprice.errors import InvariantBreach, SizeError
 from crowdprice import personalized
 from crowdprice.personalized import _exact_by_dp
 
@@ -28,6 +30,42 @@ WORKERS3 = (
     WorkerProfile(0.5, 0.25, 2),
     WorkerProfile(0.8, 0.5, 3),
 )
+
+
+def rowwise_enumeration(instance):
+    """Reference for the table-driven enumeration: every key's 0/1 row is
+    built, and its cost total is a masked row sum over all n workers."""
+    workers = instance.workers
+    n = len(workers)
+    budget = instance.budget
+    costs = instance.costs
+    if n == 0:
+        return personalized._make_selection(instance, [])
+    shifts = np.array([n - 1 - j for j in range(n)], dtype=np.uint32)
+    margin = 1e-9 * max(1.0, budget)
+    best_value = -np.inf
+    best_key = None
+    chunk = 1 << 18
+    for start in range(0, 1 << n, chunk):
+        keys = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
+        x_rows = ((keys[:, None] >> shifts[None, :]) & 1).astype(bool)
+        totals = np.where(x_rows, costs, 0.0).sum(axis=1)
+        feasible = totals <= budget - margin
+        borderline = np.flatnonzero(~feasible & (totals <= budget + margin))
+        for t in borderline:
+            if math.fsum(costs[x_rows[t]]) <= budget:
+                feasible[t] = True
+        if not feasible.any():
+            continue
+        values = instance.kernel(x_rows[feasible])
+        t = int(np.argmax(values))
+        if values[t] > best_value:
+            best_value = float(values[t])
+            best_key = int(keys[feasible][t])
+    if best_key is None:
+        raise InvariantBreach("the empty selection is always feasible")
+    x = [bool((best_key >> (n - 1 - j)) & 1) for j in range(n)]
+    return personalized._make_selection(instance, x)
 
 
 def brute_force_value(workers, budget, utility):
@@ -224,6 +262,95 @@ class TestExactSolver:
         inst = GkpInstance(workers=workers, budget=0.0005, utility=make_additive())
         with pytest.raises(SizeError):
             _exact_by_dp(inst)
+
+
+def enumeration_workers(rng, n, kind):
+    """Uniform draws, qualities and costs on a 0.1 grid, or a few distinct
+    workers each repeated (exact ties that the lexicographic rule breaks)."""
+    if kind == "uniform":
+        q, c = rng.uniform(0, 1, n), rng.uniform(0.01, 1, n)
+    elif kind == "grid":
+        q, c = rng.integers(0, 11, n) / 10, rng.integers(1, 11, n) / 10
+    else:
+        pick = rng.integers(0, max(1, n // 3), n)
+        q, c = rng.uniform(0, 1, n)[pick], (rng.integers(1, 11, n) / 10)[pick]
+    return tuple(WorkerProfile(float(q[i]), float(c[i]), i) for i in range(n))
+
+
+def subset_budgets(rng, workers):
+    """A random subset's fsum cost and the floats one ulp either side."""
+    b = math.fsum(w.cost for w in workers if rng.random() < 0.5)
+    return [v for v in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)) if v >= 0]
+
+
+def enumeration_cases(n):
+    """Instances for the differential test.  All three worker kinds and
+    budgets up to n = 18, which crosses the first chunk boundaries (2^14
+    keys a chunk) by one to four workers; one instance a size beyond."""
+    rng = np.random.default_rng([41, n])
+    kinds = ("uniform", "grid", "duplicates")
+    utilities = [make_typo(25, 1), make_additive()]
+    if n <= 8:  # the binary labeling kernel scores rows one by one
+        utilities.append(make_binary_labeling())
+    if n <= 14:
+        combos = [(kind, utility) for kind in kinds for utility in utilities]
+    elif n <= 18:
+        combos = [(kind, utilities[i % 2]) for i, kind in enumerate(kinds)]
+    else:
+        combos = [(kinds[n % 3], utilities[n % 2])]
+    for kind, utility in combos:
+        workers = enumeration_workers(rng, n, kind)
+        budgets = subset_budgets(rng, workers)
+        if n > 18:
+            budgets = [budgets[n % len(budgets)]]
+        for budget in budgets:
+            yield GkpInstance(workers=workers, budget=budget, utility=utility)
+
+
+class TestTableEnumeration:
+    @pytest.mark.parametrize("n", range(23))
+    def test_matches_rowwise_reference(self, n):
+        for inst in enumeration_cases(n):
+            sel, ref = solve_gkp_exact(inst), rowwise_enumeration(inst)
+            assert (sel.x, sel.utility_value, sel.spent) == (ref.x, ref.utility_value, ref.spent)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_cost_tables_match_fsum(self, n):
+        rng = np.random.default_rng([43, n])
+        masks = np.array(list(itertools.product([False, True], repeat=n)), dtype=bool)
+        for costs in (rng.uniform(0.01, 1, n), rng.integers(0, 11, n) / 10):
+            exact = np.array([math.fsum(costs[mask]) for mask in masks])
+            for split in range(n + 1):
+                high = personalized._subset_costs(costs[:split])
+                low = personalized._subset_costs(costs[split:])
+                # key h << (n - split) | l is entry (h, l), as the chunks add them
+                totals = (low[None, :] + high[:, None]).ravel()
+                assert np.all(np.abs(totals - exact) <= n * 2.0**-53 * exact)
+
+    def test_first_of_tied_sets_across_chunks(self):
+        # 17 identical workers and room for five: every 5-subset ties, and
+        # the least key, the last five workers, wins over later chunks
+        workers = tuple(WorkerProfile(0.3, 0.1, i) for i in range(17))
+        budget = math.fsum([0.1] * 5)
+        for utility in (make_typo(25, 1), make_additive()):
+            inst = GkpInstance(workers=workers, budget=budget, utility=utility)
+            assert solve_gkp_exact(inst).x == (False,) * 12 + (True,) * 5
+
+    def test_no_full_row_table_is_built(self):
+        # the row-wise enumeration held (2^18 x n) temporaries: about 50 MB
+        # traced at n = 20, against about 3 MB for the cost tables
+        rng = np.random.default_rng(3)
+        workers = enumeration_workers(rng, 20, "uniform")
+        budget = 0.5 * math.fsum(w.cost for w in workers)
+        inst = GkpInstance(workers=workers, budget=budget, utility=make_typo(25, 1))
+        inst.kernel  # bind (and invert qualities) before tracing
+        tracemalloc.start()
+        try:
+            solve_gkp_exact(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRelaxation:

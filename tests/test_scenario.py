@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from crowdprice import Regime, common, decide, emit_plot_data, run_scenario
+from crowdprice import scenario as scenario_module
 from crowdprice.errors import ConfigError, InvariantBreach
 from crowdprice.scenario import Scenario
 
@@ -66,6 +67,17 @@ class TestConfigValidation:
         cfg = small_config()
         cfg["utility"] = utility
         with pytest.raises(ConfigError):
+            Scenario.from_config(cfg)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ConfigError, match="budget"):
+            Scenario.from_config(small_config(budget=float("nan")))
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_cross_check_must_be_a_boolean(self, value):
+        cfg = small_config()
+        cfg["solvers"] = {"cross_check": value}
+        with pytest.raises(ConfigError, match="cross_check"):
             Scenario.from_config(cfg)
 
     def test_bad_json_file(self, tmp_path):
@@ -135,6 +147,24 @@ class TestCrossCheck:
         cfg["solvers"] = {"cross_check": True}
         checked = run_scenario(Scenario.from_config(cfg))
         assert [pt.cp for pt in checked.points] == [pt.cp for pt in plain.points]
+
+    def test_oracle_runs_once_per_point(self, monkeypatch):
+        # unclassified points (n = 15) get the oracle's report from the
+        # regime dispatch, which is then not checked against a second call
+        calls = []
+        oracle = common.cp_exact_oracle
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(common, "cp_exact_oracle", counting)
+        monkeypatch.setattr(scenario_module, "cp_exact_oracle", counting)
+        cfg = demo_config()
+        cfg["solvers"] = {"cross_check": True}
+        points = run_scenario(Scenario.from_config(cfg)).points
+        assert any(pt.regime is Regime.UNCLASSIFIED for pt in points)
+        assert calls == [pt.workers for pt in points]
 
     def test_worse_regime_report_is_a_breach(self, monkeypatch):
         def nothing(workers, budget, utility, diagnostics=True):
