@@ -276,6 +276,18 @@ def cp_unres(
     return scorer.report(best)
 
 
+def _bounded(rows: list[HalfPlane]) -> list[HalfPlane]:
+    """The rows of finite bound: a row a_p p + a_q q <= inf, which an
+    infinite budget gives, holds at every finite (p, q)."""
+    return [row for row in rows if row.rhs < math.inf]
+
+
+def _scale(c: Sequence[float], budget: float) -> float:
+    """The size of the payments in play: the largest of 1, the costs and a
+    finite budget."""
+    return max([1.0, *c] + ([budget] if budget < math.inf else []))
+
+
 def _picking_rows(
     r: Sequence[float], c: Sequence[float], lo: int, hi: int, budget: float
 ) -> list[HalfPlane]:
@@ -284,13 +296,15 @@ def _picking_rows(
     r_ext = [0.0, *r, 0.0]
     c_ext = [budget, *c, budget]
     span = list(range(lo, hi + 1))
-    return [
-        HalfPlane(1.0, r_ext[lo - 1], c_ext[lo - 1], strict=True),
-        HalfPlane(-1.0, -r_ext[lo], -c_ext[lo]),
-        HalfPlane(-1.0, -r_ext[hi], -c_ext[hi]),
-        HalfPlane(1.0, r_ext[hi + 1], c_ext[hi + 1], strict=True),
-        HalfPlane(float(len(span)), math.fsum(r_ext[i] for i in span), budget),
-    ]
+    return _bounded(
+        [
+            HalfPlane(1.0, r_ext[lo - 1], c_ext[lo - 1], strict=True),
+            HalfPlane(-1.0, -r_ext[lo], -c_ext[lo]),
+            HalfPlane(-1.0, -r_ext[hi], -c_ext[hi]),
+            HalfPlane(1.0, r_ext[hi + 1], c_ext[hi + 1], strict=True),
+            HalfPlane(float(len(span)), math.fsum(r_ext[i] for i in span), budget),
+        ]
+    )
 
 
 def _blocking_rows(
@@ -311,7 +325,7 @@ def _blocking_rows(
     rows.append(
         HalfPlane(float(len(outside)), math.fsum(r[i] for i in outside), budget)
     )
-    return rows
+    return _bounded(rows)
 
 
 def _candidate(scorer: _Scorer, rows: list[HalfPlane], scale: float) -> Key | None:
@@ -396,7 +410,7 @@ def cp_subres(
     order = _quality_order(workers)
     r = [workers[i].quality for i in order]
     c = [workers[i].cost for i in order]
-    scale = max([1.0, budget] + c)
+    scale = _scale(c, budget)
 
     scorer = _Scorer(workers, utility, budget)
     found = [scorer.best([0.0], [0.0])]
@@ -439,7 +453,7 @@ def cp_res(
     order = _quality_order(workers)
     r = [workers[i].quality for i in order]
     c = [workers[i].cost for i in order]
-    scale = max([1.0, budget] + c)
+    scale = _scale(c, budget)
 
     scorer = _Scorer(workers, utility, budget)
     found = [scorer.best([0.0], [0.0])]
@@ -447,7 +461,7 @@ def cp_res(
     # block nobody: everyone accepts within budget
     rows = [HalfPlane(-1.0, -ri, -ci) for ri, ci in zip(r, c)]
     rows.append(HalfPlane(float(n), math.fsum(r), budget))
-    found.append(_candidate(scorer, rows, scale))
+    found.append(_candidate(scorer, _bounded(rows), scale))
 
     def attempt(lo: int, hi: int) -> Key | None:
         return _candidate(scorer, _blocking_rows(r, c, lo, hi, budget), scale)

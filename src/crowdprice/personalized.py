@@ -218,8 +218,9 @@ def _exact_by_enumeration(instance: GkpInstance) -> Selection:
     # n u T <= 3e-15 T of T (n <= 24).  That is far inside the margin
     # 1e-9 max(1, B): a set within the budget B never reads above B + margin,
     # and a total read at most B - margin is truly within B.  Rows in
-    # between are rechecked with fsum.
-    margin = 1e-9 * max(1.0, budget)
+    # between are rechecked with fsum.  An infinite budget takes every
+    # finite total, with no margin.
+    margin = 1e-9 * max(1.0, budget) if budget < math.inf else 0.0
     best_value = -np.inf
     best_key: int | None = None
 
@@ -382,7 +383,10 @@ def _exact_by_dp(instance: GkpInstance) -> Selection:
     # the factors absorb the rounding of the products, so that the floors
     # never exceed the exact scaled costs nor undercut the exact budget
     weights = [math.floor(w.cost * _DP_GRID * (1.0 - 1e-12)) for w in workers]
-    capacity = min(math.floor(instance.budget * _DP_GRID * (1.0 + 1e-12)), sum(weights))
+    capacity = sum(weights)
+    # every set fits an infinite budget, and sum(weights) holds them all
+    if instance.budget < math.inf:
+        capacity = min(math.floor(instance.budget * _DP_GRID * (1.0 + 1e-12)), capacity)
     tables = _knapsack_tables(weights, values, capacity)
     x = _knapsack_take(tables, weights, values)
     if math.fsum(w.cost for w, xi in zip(workers, x) if xi) <= instance.budget:

@@ -36,7 +36,22 @@ __all__ = [
     "audit_declared_flags",
 ]
 
-MaskKernel = Callable[[np.ndarray], np.ndarray]
+
+@dataclass(frozen=True, eq=False)
+class MaskKernel:
+    """A utility bound to a worker list, scoring 0/1 mask rows.
+
+    Called on a (k, n) array whose row t marks the recruited workers of
+    subset t, it returns the k utilities.  ``identity`` holds the bytes of
+    everything ``score`` reads, so two kernels of equal identity score
+    every mask bit for bit alike; solvers may share an answer between them.
+    """
+
+    score: Callable[[np.ndarray], np.ndarray]
+    identity: bytes
+
+    def __call__(self, masks: np.ndarray) -> np.ndarray:
+        return self.score(masks)
 
 
 @dataclass(frozen=True)
@@ -79,12 +94,16 @@ class UtilityFunction:
 
         The kernel takes a (k, n) array whose row t marks the recruited
         workers of subset t and returns the k utilities.  By default it
-        scores ``mask * quality`` with :meth:`evaluate_many`, bit for bit.
+        scores ``mask * quality`` with :meth:`evaluate_many`, bit for bit,
+        and its identity is the utility's name and params and the qualities.
         """
         if self._bind is not None:
             return self._bind(workers)
         qualities = np.array([w.quality for w in workers], dtype=float)
-        return lambda masks: self._batch(np.asarray(masks, dtype=bool) * qualities)
+        return MaskKernel(
+            lambda masks: self._batch(np.asarray(masks, dtype=bool) * qualities),
+            repr((self.name, sorted(self.params.items()))).encode() + qualities.tobytes(),
+        )
 
     def __call__(self, effective_qualities: Sequence[float]) -> float:
         return self.evaluate(effective_qualities)
@@ -124,7 +143,9 @@ def make_typo(M: int, m: int | None = 1) -> UtilityFunction:
     effective qualities as abilities directly (linear qualification).
     A bound kernel (:meth:`UtilityFunction.bind`) scores workers that
     carry their ability from that ability, M * (1 - prod(1 - s_i)), with
-    no inversion; that also stays exact where b_m(s) rounds to 1.
+    no inversion; that also stays exact where b_m(s) rounds to 1.  Its
+    identity is M and the miss factors 1 - s_i in worker order, so kernels
+    bound to the same abilities under different m are alike.
     Subadditivity and Schur-convexity are declared for m = 1 only; for
     m >= 2 they are unclaimed and left to empirical audits.
     """
@@ -162,7 +183,8 @@ def make_typo(M: int, m: int | None = 1) -> UtilityFunction:
             masks = np.asarray(masks, dtype=bool)
             return M * (1.0 - np.prod(np.where(masks[:, order], f_sorted, 1.0), axis=1))
 
-        return kernel
+        # the scores read M and the miss factors alone, whatever m is
+        return MaskKernel(kernel, repr(("typo", M)).encode() + f.tobytes())
 
     claimed = m == 1 or m is None
     return UtilityFunction(

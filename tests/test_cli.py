@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import uniform_pool
-from crowdprice import cp_exact_oracle, cp_res, cp_subres, cp_unres, load_workers, make_additive
+from conftest import curve_profile, subresponsive_curve, uniform_pool
+from crowdprice import (
+    WorkerProfile,
+    cp_exact_oracle,
+    cp_res,
+    cp_subres,
+    cp_unres,
+    load_workers,
+    make_additive,
+)
 from crowdprice.cli import main
 from crowdprice.common import ORACLE_LIMIT
 from crowdprice.scenario import Scenario, _solve_cp
@@ -187,6 +195,34 @@ class TestBudgetValidation:
     def test_infinite_budget_is_accepted(self, runner, workers_file, verb):
         result = runner.invoke(main, verb + ["--workers", workers_file, "--budget", "inf"])
         assert result.exit_code == 0
+
+    def test_infinite_budget_exact_additive_dp(self, runner, tmp_path):
+        # 30 workers are past the enumeration limit, so the knapsack DP runs
+        rng = np.random.default_rng(30)
+        workers = [
+            WorkerProfile(float(rng.uniform()), float(rng.uniform(0.05, 1)), i)
+            for i in range(1, 31)
+        ]
+        path = write_workers(tmp_path, workers)
+        args = ["pp", "--workers", path, "--mode", "exact", "--utility", "additive"]
+        result = runner.invoke(main, args + ["--budget", "inf"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["x"] == [1] * 30
+        above = runner.invoke(main, args + ["--budget", repr(2 * sum(w.cost for w in workers))])
+        assert payload == json.loads(above.output)
+
+    def test_infinite_budget_subres_matches_the_oracle(self, runner, tmp_path):
+        rng = np.random.default_rng(12)
+        curve, lo, hi = subresponsive_curve(rng)
+        path = write_workers(tmp_path, curve_profile(curve, rng, 10, lo, hi))
+        args = ["cp", "--workers", path, "--budget", "inf"]
+        subres = runner.invoke(main, args + ["--regime", "subres"])
+        oracle = runner.invoke(main, args + ["--oracle"])
+        assert subres.exit_code == oracle.exit_code == 0
+        assert json.loads(subres.output)["utility"] == pytest.approx(
+            json.loads(oracle.output)["utility"], abs=1e-9
+        )
 
 
 class TestSimulateCommand:

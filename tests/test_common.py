@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from crowdprice import (
     make_typo,
     structure_of,
 )
-from crowdprice.common import ORACLE_LIMIT, StructureKind, _Scorer, make_report
+from crowdprice.common import (
+    ORACLE_LIMIT,
+    StructureKind,
+    _blocking_rows,
+    _picking_rows,
+    _Scorer,
+    make_report,
+)
 from crowdprice.errors import SizeError
 from crowdprice.workers import empirical_regime
 
@@ -230,6 +238,38 @@ class TestCpRes:
             oracle = cp_exact_oracle(workers, budget, utility)
             assert binary.utility_value == pytest.approx(linear.utility_value, abs=1e-9)
             assert binary.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
+
+
+class TestInfiniteBudget:
+    """At B = inf the budget rows bound nothing: the regime solvers drop
+    them and take their scale from the costs, so no NaN arises."""
+
+    @pytest.mark.parametrize(
+        "maker, solver",
+        [
+            (unresponsive_curve, cp_unres),
+            (subresponsive_curve, cp_subres),
+            (responsive_curve, cp_res),
+        ],
+        ids=["unres", "subres", "res"],
+    )
+    def test_regime_solvers_reach_the_oracle(self, maker, solver):
+        rng = np.random.default_rng(61)
+        for _ in range(8):
+            curve, lo, hi = maker(rng)
+            workers = curve_profile(curve, rng, int(rng.integers(6, 15)), lo, hi)
+            for utility in (make_typo(25, 1), make_additive()):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    report = solver(workers, math.inf, utility, diagnostics=False)
+                    oracle = cp_exact_oracle(workers, math.inf, utility)
+                assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
+
+    def test_row_builders_drop_the_vacuous_rows(self):
+        r, c = [0.9, 0.6, 0.3], [0.8, 0.5, 0.2]
+        finite = _picking_rows(r, c, 1, 3, 5.0) + _blocking_rows(r, c, 2, 2, 5.0)
+        at_inf = _picking_rows(r, c, 1, 3, math.inf) + _blocking_rows(r, c, 2, 2, math.inf)
+        assert at_inf == [row for row in finite if row.rhs != 5.0]
 
 
 class TestCpNoBonus:

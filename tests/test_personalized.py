@@ -256,6 +256,46 @@ class TestExactSolver:
             assert sel.x == solve_gkp_exact(inst).x
         assert len(answered) >= 20
 
+    @staticmethod
+    def _plain_workers(n, seed):
+        rng = np.random.default_rng(seed)
+        return tuple(
+            WorkerProfile(float(rng.uniform(0, 1)), float(rng.uniform(0.05, 1)), i)
+            for i in range(n)
+        )
+
+    @pytest.mark.parametrize(
+        "utility", [make_typo(25, 1), make_additive()], ids=["typo", "additive"]
+    )
+    def test_infinite_budget_enumeration(self, utility):
+        workers = self._plain_workers(12, seed=31)
+        above = 2.0 * sum(w.cost for w in workers)
+        at_inf = solve_gkp_exact(GkpInstance(workers, math.inf, utility))
+        assert at_inf == solve_gkp_exact(GkpInstance(workers, above, utility))
+
+    def test_infinite_budget_dp(self):
+        # 30 workers take the DP path; math.floor(inf) used to overflow
+        workers = self._plain_workers(30, seed=32)
+        above = 2.0 * sum(w.cost for w in workers)
+        at_inf = solve_gkp_exact(GkpInstance(workers, math.inf, make_additive()))
+        assert at_inf == solve_gkp_exact(GkpInstance(workers, above, make_additive()))
+        assert at_inf.x == tuple(w.quality > 0 for w in workers)
+
+    def test_infinite_budget_needs_no_fsum_recheck(self, monkeypatch):
+        # every finite total fits, so no row is borderline: the one fsum
+        # left is the selection's own spend
+        calls = []
+        fsum = math.fsum
+
+        def counting(values):
+            calls.append(1)
+            return fsum(values)
+
+        inst = GkpInstance(self._plain_workers(12, seed=33), math.inf, make_typo(25, 1))
+        monkeypatch.setattr(math, "fsum", counting)
+        solve_gkp_exact(inst)
+        assert len(calls) == 1
+
     def test_branch_and_bound_node_limit_refuses(self, monkeypatch):
         monkeypatch.setattr(personalized, "_BRANCH_NODE_LIMIT", 10)
         workers = tuple(WorkerProfile(0.1 * (i % 5 + 1), 0.00019, i) for i in range(30))

@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from crowdprice import Regime, common, decide, emit_plot_data, run_scenario
+from crowdprice import (
+    GkpInstance,
+    Regime,
+    common,
+    decide,
+    emit_plot_data,
+    run_scenario,
+    solve_gkp_exact,
+)
 from crowdprice import scenario as scenario_module
 from crowdprice.errors import ConfigError, InvariantBreach
 from crowdprice.scenario import Scenario
@@ -138,6 +146,50 @@ def demo_config():
         "budget": 4.0,
         "seed": 9,
     }
+
+
+class TestSharedExactSolve:
+    """Sweep points with the same costs, budget and kernel identity share
+    one exact personalized solve."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        solve = getattr(scenario_module, name)
+
+        def spy(instance, *args):
+            calls.append(instance)
+            return solve(instance, *args)
+
+        monkeypatch.setattr(scenario_module, name, spy)
+        return calls
+
+    def test_typo_sweep_solves_once(self, monkeypatch):
+        calls = self.counting(monkeypatch, "solve_gkp_exact")
+        points = run_scenario(Scenario.from_config(demo_config())).points
+        assert len(points) == 12 and len(calls) == 1
+        for pt in points:
+            utility = scenario_module._utility_for_point({"kind": "typo", "M": 25}, pt.policy)
+            assert pt.pp == solve_gkp_exact(GkpInstance(tuple(pt.workers), 4.0, utility))
+            assert pt.pp_mode == "exact"
+
+    def test_additive_sweep_solves_every_point(self, monkeypatch):
+        calls = self.counting(monkeypatch, "solve_gkp_exact")
+        cfg = small_config()
+        cfg["utility"] = {"kind": "additive"}
+        points = run_scenario(Scenario.from_config(cfg)).points
+        assert len(calls) == len(points) == 3
+        for pt in points:
+            utility = scenario_module._utility_for_point({"kind": "additive"}, pt.policy)
+            assert pt.pp == solve_gkp_exact(GkpInstance(tuple(pt.workers), 2.0, utility))
+
+    @pytest.mark.filterwarnings("ignore:utility .* is not flagged")
+    def test_greedy_runs_at_every_point(self, monkeypatch):
+        calls = self.counting(monkeypatch, "modified_greedy")
+        cfg = small_config()
+        cfg["solvers"] = {"pp": "greedy"}
+        points = run_scenario(Scenario.from_config(cfg)).points
+        assert [inst.workers for inst in calls] == [tuple(pt.workers) for pt in points]
 
 
 class TestCrossCheck:

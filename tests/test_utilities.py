@@ -213,6 +213,49 @@ class TestBind:
         values = kernel(np.array([[True], [False]]))
         assert values[0] == pytest.approx(25 * 0.9, abs=1e-12) and values[1] == 0.0
 
+    def test_equal_identity_scores_alike(self):
+        # translate keeps the abilities, which a typo kernel reads whatever
+        # m is; workers that carry none are scored from their qualities
+        profile = generate_population(10, seed=12)
+        kernels = [
+            make_typo(25, m).bind(translate(profile, threshold_policy(m, 25)))
+            for m in (15, 20, 25)
+        ]
+        kernels.append(make_typo(25, None).bind(translate(profile, linear_policy(25))))
+        plain = [
+            WorkerProfile(s, c, i)
+            for i, (s, c) in enumerate(zip(profile.abilities, profile.costs))
+        ]
+        kernels.append(make_typo(25, None).bind(plain))
+        # the default identity reads neither costs nor ids
+        workers = plain_workers(10, seed=6)
+        relabeled = [WorkerProfile(w.quality, 2 * w.cost, w.id + 100) for w in workers]
+        pairs = [
+            (make().bind(workers), make().bind(relabeled))
+            for make in (make_additive, make_binary_labeling)
+        ]
+        masks = all_masks(10)
+        assert len({k.identity for k in kernels}) == 1
+        for kernel in kernels[1:]:
+            assert np.array_equal(kernel(masks), kernels[0](masks))
+        for a, b in pairs:
+            assert a.identity == b.identity
+            assert np.array_equal(a(masks), b(masks))
+
+    def test_identity_differs_where_scores_can(self):
+        workers, other = plain_workers(10, seed=7), plain_workers(10, seed=8)
+        kernels = [
+            make_typo(25, 13).bind(workers),
+            make_typo(25, 20).bind(workers),
+            make_additive().bind(workers),
+            make_additive().bind(other),
+            make_binary_labeling().bind(workers),
+            make_binary_labeling().bind(other),
+        ]
+        masks = all_masks(10)
+        assert len({k.identity for k in kernels}) == len(kernels)
+        assert len({k(masks).tobytes() for k in kernels}) == len(kernels)
+
     def test_typo_domain_checked_when_bound(self):
         with pytest.raises(ValueError):
             make_typo(25, 1).bind([WorkerProfile(1.2, 0.5, 1)])
