@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SizeError
-from .halfplane import HalfPlane, feasible_point, repair_strict
+from .halfplane import clip_systems, repair_vertices
 from .utilities import MaskKernel, UtilityFunction
 from .workers import CommonPolicy, Regime, WorkerProfile, warn_if_off_regime
 
@@ -44,6 +44,8 @@ __all__ = [
 # twice the three regime solvers on unclassified pools (README, "Exact oracle")
 ORACLE_LIMIT = 64
 _ORACLE_CHUNK_ROWS = 1 << 12
+# (lo, hi) systems clipped and ranked together by a linear-mode regime solve
+_LINEAR_BATCH = 256
 
 
 class StructureKind(Enum):
@@ -208,31 +210,91 @@ class _Scorer:
         self.c = np.array([w.cost for w in workers], dtype=float)
         self.values: dict[bytes, float] = {}
 
+    def _paid(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each probe's accepted workers and their payments, zero elsewhere:
+        declined workers add exact zeros, which leave a sum unchanged."""
+        pay = p[:, None] + q[:, None] * self.r
+        accept = pay >= self.c
+        return accept, np.where(accept, pay, 0.0)
+
+    def _value(self, accept: np.ndarray, mask: bytes) -> float:
+        """The utility of one accepted set, a (1 x n) row, memoised."""
+        value = self.values.get(mask)
+        if value is None:
+            value = self.values[mask] = float(self.kernel(accept)[0])
+        return value
+
+    def _spend_bounds(self, paid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A quick sum of each row and a bound on its distance from the row's
+        ``math.fsum``.  Any order of summing n nonnegative terms is within
+        (n - 1) u of the exact sum relatively, and fsum within u, with
+        u = 2^-53; the bound doubles that, and a spend compared by it is
+        decided as the fsum would decide it."""
+        approx = paid.sum(axis=1)
+        return approx, approx * ((paid.shape[1] + 1) * 2.0**-52)
+
+    def _affordable(self, paid: np.ndarray) -> np.ndarray:
+        """Which probes spend at most the budget, by ``math.fsum``; only
+        those the quick sum leaves in doubt are summed exactly."""
+        approx, err = self._spend_bounds(paid)
+        ok = approx + err <= self.budget
+        doubt = np.flatnonzero(~ok & (approx - err <= self.budget))
+        for t, row in zip(doubt.tolist(), paid[doubt].tolist()):
+            ok[t] = math.fsum(row) <= self.budget
+        return ok
+
     def keys(self, p: Sequence[float], q: Sequence[float]) -> list[Key]:
         """Keys of the probes (p[t], q[t]) that spend at most the budget."""
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        pay = p[:, None] + q[:, None] * self.r
-        accept = pay >= self.c
+        accept, paid = self._paid(p, q)
         width = -(-len(self.r) // 8)
         packed = np.packbits(accept, axis=1).tobytes()
-        # declined workers add exact zeros, which leave the fsum unchanged
-        paid = np.where(accept, pay, 0.0).tolist()
+        paid = paid.tolist()
         out = []
         for t, (pt, qt) in enumerate(zip(p.tolist(), q.tolist())):
             spent = math.fsum(paid[t])
             if spent > self.budget:
                 continue
-            mask = packed[t * width : (t + 1) * width]
-            value = self.values.get(mask)
-            if value is None:
-                value = self.values[mask] = float(self.kernel(accept[t : t + 1])[0])
+            value = self._value(accept[t : t + 1], packed[t * width : (t + 1) * width])
             out.append((-value, spent, pt, qt))
         return out
 
     def best(self, p: Sequence[float], q: Sequence[float]) -> Key | None:
-        """The least key among the affordable probes, None if there is none."""
-        return min(self.keys(p, q), default=None)
+        """The least key among the affordable probes, None if there is none:
+        ``min(self.keys(p, q))``, with only the distinct accepted sets of
+        affordable probes scored and only the spends that can decide the
+        minimum summed by ``math.fsum``."""
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        accept, paid = self._paid(p, q)
+        ok = np.flatnonzero(self._affordable(paid))
+        if not len(ok):
+            return None
+        width = -(-len(self.r) // 8)
+        packed = np.packbits(accept[ok], axis=1).tobytes()
+        values = np.array(
+            [
+                self._value(accept[t : t + 1], packed[i * width : (i + 1) * width])
+                for i, t in enumerate(ok.tolist())
+            ]
+        )
+        # the most utility first; then the least spend, whose bounds leave
+        # in doubt only the probes that can tie the least
+        top = ok[values == values.max()]
+        approx, err = self._spend_bounds(paid[top])
+        top = top[approx - err <= (approx + err).min()]
+        value = -float(values.max())
+        return min(
+            (value, math.fsum(paid[t].tolist()), float(p[t]), float(q[t])) for t in top.tolist()
+        )
+
+    def affordable(self, p: np.ndarray, q: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
+        """Per group g < ``groups``, whether any of its probes (the t with
+        group[t] == g) is affordable: whether ``best`` of them is not None."""
+        out = np.zeros(groups, dtype=bool)
+        out[group[self._affordable(self._paid(p, q)[1])]] = True
+        return out
 
     def report(self, key: Key) -> CpSolveReport:
         return make_report(self.workers, self.utility, key[2], key[3], kernel=self.kernel)
@@ -276,10 +338,22 @@ def cp_unres(
     return scorer.report(best)
 
 
-def _bounded(rows: list[HalfPlane]) -> list[HalfPlane]:
-    """The rows of finite bound: a row a_p p + a_q q <= inf, which an
-    infinite budget gives, holds at every finite (p, q)."""
-    return [row for row in rows if row.rhs < math.inf]
+# K half-plane systems as (K x R) arrays a_p, a_q, rhs, strict, the input of
+# ``halfplane.clip_systems``; and one system's quality-rank interval (lo, hi)
+Systems = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+Pair = tuple[int, int]
+
+
+def _systems(
+    a_p: np.ndarray, a_q: np.ndarray, rhs: np.ndarray, strict: np.ndarray, absent: np.ndarray
+) -> Systems:
+    """The rows, with the ``absent`` ones and those of infinite bound set to
+    the all-zero row, which bounds nothing: a row a_p p + a_q q <= inf,
+    which an infinite budget gives, holds at every finite (p, q)."""
+    absent = absent | ~(rhs < math.inf)
+    for a in (a_p, a_q, rhs):
+        a[absent] = 0.0
+    return a_p, a_q, rhs, strict & ~absent
 
 
 def _scale(c: Sequence[float], budget: float) -> float:
@@ -289,100 +363,182 @@ def _scale(c: Sequence[float], budget: float) -> float:
 
 
 def _picking_rows(
-    r: Sequence[float], c: Sequence[float], lo: int, hi: int, budget: float
-) -> list[HalfPlane]:
-    """Rows forcing ranks lo..hi (1-based) to accept and their neighbors to
-    decline, with the sentinel profile r_0 = r_{n+1} = 0, c_0 = c_{n+1} = B."""
-    r_ext = [0.0, *r, 0.0]
-    c_ext = [budget, *c, budget]
-    span = list(range(lo, hi + 1))
-    return _bounded(
-        [
-            HalfPlane(1.0, r_ext[lo - 1], c_ext[lo - 1], strict=True),
-            HalfPlane(-1.0, -r_ext[lo], -c_ext[lo]),
-            HalfPlane(-1.0, -r_ext[hi], -c_ext[hi]),
-            HalfPlane(1.0, r_ext[hi + 1], c_ext[hi + 1], strict=True),
-            HalfPlane(float(len(span)), math.fsum(r_ext[i] for i in span), budget),
-        ]
-    )
+    r: Sequence[float], c: Sequence[float], pairs: Sequence[Pair], budget: float
+) -> Systems:
+    """Per (lo, hi), rows forcing ranks lo..hi (1-based) to accept and their
+    neighbors to decline, with the sentinel profile r_0 = r_{n+1} = 0,
+    c_0 = c_{n+1} = B, and the budget over ranks lo..hi."""
+    r_ext = np.array([0.0, *r, 0.0])
+    c_ext = np.array([budget, *c, budget])
+    lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    one = np.ones(len(lo))
+    a_p = np.array([one, -one, -one, one, hi - lo + 1.0]).T
+    spans = [math.fsum(r[a - 1 : b]) for a, b in pairs]
+    a_q = np.array([r_ext[lo - 1], -r_ext[lo], -r_ext[hi], r_ext[hi + 1], spans]).T
+    rhs = np.array([c_ext[lo - 1], -c_ext[lo], -c_ext[hi], c_ext[hi + 1], one * budget]).T
+    strict = np.tile([True, False, False, True, False], (len(lo), 1))
+    return _systems(a_p, a_q, rhs, strict, np.zeros(strict.shape, dtype=bool))
 
 
 def _blocking_rows(
-    r: Sequence[float], c: Sequence[float], lo: int, hi: int, budget: float
-) -> list[HalfPlane]:
-    """Rows forcing ranks lo..hi to decline while their neighbors accept,
-    with the budget taken over the accepted complement."""
+    r: Sequence[float], c: Sequence[float], pairs: Sequence[Pair], budget: float
+) -> Systems:
+    """Per (lo, hi), rows forcing ranks lo..hi to decline while their
+    neighbors accept (rank 0 and n + 1 have no row), with the budget over
+    the accepted complement."""
     n = len(r)
-    rows = [
-        HalfPlane(1.0, r[lo - 1], c[lo - 1], strict=True),
-        HalfPlane(1.0, r[hi - 1], c[hi - 1], strict=True),
-    ]
-    if lo >= 2:
-        rows.append(HalfPlane(-1.0, -r[lo - 2], -c[lo - 2]))
-    if hi <= n - 1:
-        rows.append(HalfPlane(-1.0, -r[hi], -c[hi]))
-    outside = [i for i in range(n) if not (lo - 1 <= i <= hi - 1)]
-    rows.append(
-        HalfPlane(float(len(outside)), math.fsum(r[i] for i in outside), budget)
-    )
-    return _bounded(rows)
+    r_pad = np.array([0.0, *r, 0.0])
+    c_pad = np.array([0.0, *c, 0.0])
+    lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    one = np.ones(len(lo))
+    a_p = np.array([one, one, -one, -one, n - (hi - lo + 1.0)]).T
+    outside = [math.fsum(r[: a - 1] + r[b:]) for a, b in pairs]
+    a_q = np.array([r_pad[lo], r_pad[hi], -r_pad[lo - 1], -r_pad[hi + 1], outside]).T
+    rhs = np.array([c_pad[lo], c_pad[hi], -c_pad[lo - 1], -c_pad[hi + 1], one * budget]).T
+    strict = np.tile([True, True, False, False, False], (len(lo), 1))
+    absent = np.zeros(strict.shape, dtype=bool)
+    absent[:, 2] = lo < 2
+    absent[:, 3] = hi > n - 1
+    return _systems(a_p, a_q, rhs, strict, absent)
 
 
-def _candidate(scorer: _Scorer, rows: list[HalfPlane], scale: float) -> Key | None:
-    """Key of the best budget-feasible probe over the loosened polygon of
-    the rows, or None when no probe is affordable.
+def _everyone_rows(r: Sequence[float], c: Sequence[float], budget: float) -> Systems:
+    """One system: every rank accepts, within the budget."""
+    n = len(r)
+    a_p = np.array([[*[-1.0] * n, float(n)]])
+    a_q = np.array([[*(-ri for ri in r), math.fsum(r)]])
+    rhs = np.array([[*(-ci for ci in c), budget]])
+    strict = np.zeros(a_p.shape, dtype=bool)
+    return _systems(a_p, a_q, rhs, strict, strict.copy())
+
+
+def _probes(systems: Systems, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probe points (p, q) of K systems, and the system of each.
 
     The minimum-payment vertex alone is not enough: it can sit exactly on
     a strict decline boundary or drop an accept-boundary worker to float
-    rounding.  So every polygon vertex is probed together with points
-    pulled toward the centroid (strictly interior, where all non-strict
-    rows hold with real slack), vertices are repaired off strict
-    boundaries by the base-payment schedule, and each probe is evaluated
-    honestly through the decision rule.  The probes are ranked by
-    ``scorer`` with the key ``make_report`` implies; the caller builds the
-    one report of the solve from the winning key.
+    rounding.  So every vertex of a system's loosened polygon is probed
+    together with points pulled toward the centroid (strictly interior,
+    where all non-strict rows hold with real slack), and vertices are
+    repaired off strict boundaries by the base-payment schedule.  An empty
+    polygon gives no probe.  All systems are clipped and repaired in one
+    call each.
     """
-    result = feasible_point(rows)
-    if not result.feasible:
-        return None
-    vertices = result.vertices
-    cx = sum(v[0] for v in vertices) / len(vertices)
-    cy = sum(v[1] for v in vertices) / len(vertices)
+    polygons = clip_systems(*systems)
+    x, y, count = polygons.x, polygons.y, polygons.count
+    system, vertex = np.nonzero(np.arange(x.shape[1]) < count[:, None])
+    # centroids, summed vertex by vertex from 0 as sum() does; the zero
+    # padding adds exact zeros
+    cx, cy = np.zeros(len(count)), np.zeros(len(count))
+    for v in range(x.shape[1]):
+        cx += x[:, v]
+        cy += y[:, v]
+    cx /= np.maximum(count, 1)
+    cy /= np.maximum(count, 1)
+    p, q = x[system, vertex], y[system, vertex]
+
+    ok, base = repair_vertices(p, q, system, *systems, scale)
     nudge = 1e-12 * scale
+    repaired, rq, rs = base[ok], q[ok], system[ok]
+    below = repaired - nudge
+    probes = [
+        (repaired, rq, rs),
+        (repaired + nudge, rq, rs),
+        (np.where(below > 0.0, below, 0.0), rq, rs),
+    ]
+    for t in (1e-6, 0.5):
+        probes.append((p + t * (cx[system] - p), q + t * (cy[system] - q), system))
+    probe_p, probe_q, group = (np.concatenate(column) for column in zip(*probes))
+    return probe_p, probe_q, group
 
-    points: list[tuple[float, float]] = []
-    for v in vertices:
-        repaired = repair_strict(v, rows, scale=scale)
-        if repaired is not None:
-            points.append(repaired)
-            points.append((repaired[0] + nudge, repaired[1]))
-            points.append((max(0.0, repaired[0] - nudge), repaired[1]))
-        for t in (1e-6, 0.5):
-            points.append((v[0] + t * (cx - v[0]), v[1] + t * (cy - v[1])))
 
-    p, q = zip(*points)
+def _best_of(scorer: _Scorer, systems: Systems, scale: float) -> Key | None:
+    """The least key over the probes of all the systems, each probe
+    evaluated honestly through the decision rule and ranked by ``scorer``
+    with the key ``make_report`` implies; the caller builds the one report
+    of the solve from the winning key.  None when no probe is affordable."""
+    p, q, _ = _probes(systems, scale)
     return scorer.best(p, q)
 
 
-def _least_feasible(attempt: Callable[[int], Key | None], lo: int, hi: int) -> Key | None:
-    """``attempt`` at the smallest index in [lo, hi] where it returns a key,
-    found by bisection on the assumption that feasibility is monotone in
-    the index; None when even ``hi`` is infeasible.  Each index is
-    attempted at most once."""
-    found: dict[int, Key | None] = {}
+def _least_feasible(
+    feasible: Callable[[list[Pair]], np.ndarray], scans: Sequence[Sequence[Pair]]
+) -> list[Pair]:
+    """The first system of each scan that ``feasible`` accepts, found by
+    bisection over the scan; a scan whose last system fails gives none.
 
-    def feasible(i: int) -> bool:
-        if i not in found:
-            found[i] = attempt(i)
-        return found[i] is not None
+    The bisection trusts that feasibility is monotone along a scan, which
+    holds for ``cp_subres``'s scans on the pools measured but not for
+    ``cp_res``'s on every responsive pool (see :func:`cp_res`); there it can
+    step over the only feasible systems.  The scans are independent, so
+    they advance in lockstep: each round tests the next system of every
+    unfinished scan in one call, about log2(len) + 1 calls in all.  Each
+    scan tests the systems it would alone, each at most once.
+    """
+    bounds = [(0, len(scan) - 1) for scan in scans]
+    found: list[dict[int, bool]] = [{} for _ in scans]
+    while True:
+        asks = [
+            (s, (lo + hi) // 2)
+            for s, (lo, hi) in enumerate(bounds)
+            if lo < hi or lo not in found[s]
+        ]
+        if not asks:
+            return [scans[s][lo] for s, (lo, _) in enumerate(bounds) if found[s][lo]]
+        for (s, i), ok in zip(asks, feasible([scans[s][i] for s, i in asks]).tolist()):
+            found[s][i] = ok
+            lo, hi = bounds[s]
+            if lo < hi:
+                bounds[s] = (lo, i) if ok else (i + 1, hi)
 
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
+
+def _interval_search(
+    scorer: _Scorer,
+    rows: Callable[[list[Pair]], Systems],
+    scans: list[list[Pair]],
+    mode: str,
+    scale: float,
+) -> list[Key | None]:
+    """The keys a regime solver takes from its (lo, hi) systems.
+
+    "binary" keeps each scan's first feasible system, a system being
+    feasible when one of its probes is affordable, and ranks the probes of
+    those systems; "linear" ranks the probes of every system, in batches of
+    ``_LINEAR_BATCH`` systems.  The answer is the least key either way.
+
+    A kernel call costs about as much for a few systems as for a few
+    hundred, so a binary solve with at most ``_LINEAR_BATCH`` systems in
+    all tests every system in one call, and its bisections read the
+    answers from that table; a larger one tests the systems its
+    bisections ask for, round by round.  Either way each bisection
+    consults the same systems, so it ends where it would alone.
+    """
+    pairs = [pair for scan in scans for pair in scan]
+    if mode == "binary":
+        # the probes of each tested system, kept with the system's id,
+        # lo * 2^32 + hi, to rank those of the chosen ones
+        tested: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+        def feasible(asked: list[Pair]) -> np.ndarray:
+            p, q, group = _probes(rows(asked), scale)
+            lo, hi = np.array(asked, dtype=np.int64).reshape(-1, 2).T
+            tested.append((p, q, (lo << 32 | hi)[group]))
+            return scorer.affordable(p, q, group, len(asked))
+
+        if len(pairs) <= _LINEAR_BATCH:
+            table = dict(zip(pairs, feasible(pairs).tolist()))
+            chosen = _least_feasible(lambda asked: np.array([table[a] for a in asked]), scans)
         else:
-            lo = mid + 1
-    return found[lo] if feasible(lo) else None
+            chosen = _least_feasible(feasible, scans)
+        if not chosen:
+            return []
+        p, q, system = (np.concatenate(column) for column in zip(*tested))
+        mine = np.isin(system, [lo << 32 | hi for lo, hi in chosen])
+        return [scorer.best(p[mine], q[mine])]
+    return [
+        _best_of(scorer, rows(pairs[start : start + _LINEAR_BATCH]), scale)
+        for start in range(0, len(pairs), _LINEAR_BATCH)
+    ]
 
 
 def cp_subres(
@@ -398,7 +554,8 @@ def cp_subres(
     upper end u the solver finds the best lower end: "binary" assumes
     feasibility is monotone in l and binary-searches the smallest feasible
     one, "linear" tries every l and keeps the best report, which is the
-    audit guard for that assumption.
+    audit guard for that assumption.  Binary mode bisects all upper ends
+    in lockstep (:func:`_least_feasible`).
     """
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
@@ -414,15 +571,10 @@ def cp_subres(
 
     scorer = _Scorer(workers, utility, budget)
     found = [scorer.best([0.0], [0.0])]
-
-    def attempt(lo: int, hi: int) -> Key | None:
-        return _candidate(scorer, _picking_rows(r, c, lo, hi, budget), scale)
-
-    for hi in range(n, 0, -1):
-        if mode == "linear":
-            found += [attempt(lo, hi) for lo in range(1, hi + 1)]
-        else:
-            found.append(_least_feasible(partial(attempt, hi=hi), 1, hi))
+    scans = [[(lo, hi) for lo in range(1, hi + 1)] for hi in range(n, 0, -1)]
+    found += _interval_search(
+        scorer, partial(_picking_rows, r, c, budget=budget), scans, mode, scale
+    )
     # (0, 0) spends nothing, so found holds at least its key
     return scorer.report(min(key for key in found if key is not None))
 
@@ -434,14 +586,26 @@ def cp_res(
     mode: str = "binary",
     diagnostics: bool = True,
 ) -> CpSolveReport:
-    """Optimal common pricing for effort-responsive profiles.
+    """Common pricing for effort-responsive profiles.
 
     The mirror of :func:`cp_subres` over blocking structures: the policy
     must make a quality-rank interval decline and everyone else accept.
-    Scans the lower end l of the blocked interval; for each l, "binary"
-    searches the smallest feasible upper end (the least blocking, so the
-    most utility), "linear" tries them all.  The block-nobody candidate
-    (accept everyone) is handled separately since it constrains all ranks.
+    Scans the lower end l of the blocked interval; for each l, "linear"
+    tries every upper end and is exact on responsive profiles, and
+    "binary" bisects for the smallest upper end with a feasible system and
+    keeps that one.  The block-nobody candidate (accept everyone) is
+    handled separately since it constrains all ranks.
+
+    Binary mode is not exact on every responsive pool.  Its two premises,
+    that feasibility is monotone in the upper end and that the least
+    blocking recruits the most utility, are both false in general: the
+    rows force rank u + 1 to accept and take the budget over a complement
+    that changes with u, so the polygons of successive u are not nested.
+    On the pool of responsive draw #21 (n = 36) of rng(2026), priced under
+    typo m = 1 at budget 12.70, only u = 34 is feasible for l = 12, the
+    bisection never tries it, and binary mode returns 4.298 where linear
+    mode and :func:`cp_exact_oracle` reach 4.400.  Binary mode bisects all
+    lower ends in lockstep (:func:`_least_feasible`).
     """
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
@@ -457,20 +621,12 @@ def cp_res(
 
     scorer = _Scorer(workers, utility, budget)
     found = [scorer.best([0.0], [0.0])]
-
     # block nobody: everyone accepts within budget
-    rows = [HalfPlane(-1.0, -ri, -ci) for ri, ci in zip(r, c)]
-    rows.append(HalfPlane(float(n), math.fsum(r), budget))
-    found.append(_candidate(scorer, _bounded(rows), scale))
-
-    def attempt(lo: int, hi: int) -> Key | None:
-        return _candidate(scorer, _blocking_rows(r, c, lo, hi, budget), scale)
-
-    for lo in range(1, n + 1):
-        if mode == "linear":
-            found += [attempt(lo, hi) for hi in range(lo, n + 1)]
-        else:
-            found.append(_least_feasible(partial(attempt, lo), lo, n))
+    found.append(_best_of(scorer, _everyone_rows(r, c, budget), scale))
+    scans = [[(lo, hi) for hi in range(lo, n + 1)] for lo in range(1, n + 1)]
+    found += _interval_search(
+        scorer, partial(_blocking_rows, r, c, budget=budget), scans, mode, scale
+    )
     return scorer.report(min(key for key in found if key is not None))
 
 

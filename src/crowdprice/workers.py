@@ -58,10 +58,10 @@ class WorkerProfile:
     ability: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.quality >= 0.0):
-            raise ValueError(f"quality must be >= 0, got {self.quality!r}")
-        if not (self.cost >= 0.0):
-            raise ValueError(f"cost must be >= 0, got {self.cost!r}")
+        if not (0.0 <= self.quality < math.inf):
+            raise ValueError(f"quality must be finite and >= 0, got {self.quality!r}")
+        if not (0.0 <= self.cost < math.inf):
+            raise ValueError(f"cost must be finite and >= 0, got {self.cost!r}")
         if self.ability is not None and not (0.0 <= self.ability <= 1.0):
             raise ValueError(f"ability must be in [0,1], got {self.ability!r}")
 

@@ -67,6 +67,23 @@ class TestPpCommand:
 
 
 class TestCpCommand:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cp", "--oracle"],
+            ["cp", "--regime", "auto"],
+            ["pp", "--mode", "exact"],
+            ["poa"],
+        ],
+        ids=" ".join,
+    )
+    def test_infinite_cost_is_refused(self, runner, tmp_path, args):
+        path = tmp_path / "w.csv"
+        path.write_text("id,quality,cost\n1,0.9,0.3\n2,0.5,inf\n3,0.8,0.5\n", encoding="utf-8")
+        result = runner.invoke(main, [*args, "--workers", str(path), "--budget", "1"])
+        assert result.exit_code == 2
+        assert "cost must be finite" in result.output
+
     def test_oracle(self, runner, workers_file):
         result = runner.invoke(
             main, ["cp", "--workers", workers_file, "--budget", "0.6", "--oracle"]

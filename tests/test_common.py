@@ -26,16 +26,23 @@ from crowdprice import (
     make_typo,
     structure_of,
 )
+import crowdprice.common as common
 from crowdprice.common import (
     ORACLE_LIMIT,
     StructureKind,
     _blocking_rows,
+    _least_feasible,
     _picking_rows,
+    _quality_order,
+    _scale,
     _Scorer,
     make_report,
 )
 from crowdprice.errors import SizeError
+from crowdprice.halfplane import HalfPlane
 from crowdprice.workers import empirical_regime
+from halfplane_reference import reference_feasible_point, reference_repair_strict
+from test_halfplane import check_against_reference
 
 
 def pob_workers(n=16, c=1.0, eps=0.1):
@@ -266,10 +273,16 @@ class TestInfiniteBudget:
                 assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
 
     def test_row_builders_drop_the_vacuous_rows(self):
+        # a row of infinite bound becomes the all-zero row; the others stay
         r, c = [0.9, 0.6, 0.3], [0.8, 0.5, 0.2]
-        finite = _picking_rows(r, c, 1, 3, 5.0) + _blocking_rows(r, c, 2, 2, 5.0)
-        at_inf = _picking_rows(r, c, 1, 3, math.inf) + _blocking_rows(r, c, 2, 2, math.inf)
-        assert at_inf == [row for row in finite if row.rhs != 5.0]
+        for build, pairs in ((_picking_rows, [(1, 3), (2, 2)]), (_blocking_rows, [(2, 2), (1, 3)])):
+            finite = build(r, c, pairs, 5.0)
+            at_inf = build(r, c, pairs, math.inf)
+            vacuous = finite[2] == 5.0
+            assert vacuous.any() and not vacuous.all()
+            for got, want in zip(at_inf, finite):
+                assert (got[~vacuous] == want[~vacuous]).all()
+                assert not got[vacuous].any()
 
 
 class TestCpNoBonus:
@@ -516,6 +529,12 @@ class TestScorerMatchesMakeReport:
         p, q = zip(*points)
         assert scorer.keys(p, q) == ref
         assert scorer.best(p, q) == min(ref, default=None)
+        # probes dealt to seven groups, the last left empty
+        group = np.arange(len(points)) % 6
+        affordable = scorer.affordable(np.array(p), np.array(q), group, 7)
+        for g in range(7):
+            members = [point for point, k in zip(points, group) if k == g]
+            assert affordable[g] == bool(loop_keys(workers, utility, budget, members))
         if ref:
             best = min(ref)
             assert scorer.report(best) == make_report(workers, utility, best[2], best[3])
@@ -607,3 +626,255 @@ class TestOracleAtScale:
                 oracle = cp_exact_oracle(workers, budget, utility, max_n=n)
                 report = solver(workers, budget, utility, mode="linear", diagnostics=False)
                 assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The regime solvers against their one-system-at-a-time form
+# ---------------------------------------------------------------------------
+
+
+def reference_rows(r, c, lo, hi, budget, kind):
+    """One system as the list of rows the solvers once built per (lo, hi),
+    rows of infinite bound left out; kind "everyone" ignores lo and hi."""
+    n = len(r)
+    if kind == "picking":
+        r_ext, c_ext = [0.0, *r, 0.0], [budget, *c, budget]
+        span = range(lo, hi + 1)
+        rows = [
+            HalfPlane(1.0, r_ext[lo - 1], c_ext[lo - 1], strict=True),
+            HalfPlane(-1.0, -r_ext[lo], -c_ext[lo]),
+            HalfPlane(-1.0, -r_ext[hi], -c_ext[hi]),
+            HalfPlane(1.0, r_ext[hi + 1], c_ext[hi + 1], strict=True),
+            HalfPlane(float(len(span)), math.fsum(r_ext[i] for i in span), budget),
+        ]
+    elif kind == "blocking":
+        rows = [
+            HalfPlane(1.0, r[lo - 1], c[lo - 1], strict=True),
+            HalfPlane(1.0, r[hi - 1], c[hi - 1], strict=True),
+        ]
+        if lo >= 2:
+            rows.append(HalfPlane(-1.0, -r[lo - 2], -c[lo - 2]))
+        if hi <= n - 1:
+            rows.append(HalfPlane(-1.0, -r[hi], -c[hi]))
+        outside = [i for i in range(n) if not (lo - 1 <= i <= hi - 1)]
+        rows.append(HalfPlane(float(len(outside)), math.fsum(r[i] for i in outside), budget))
+    else:
+        rows = [HalfPlane(-1.0, -ri, -ci) for ri, ci in zip(r, c)]
+        rows.append(HalfPlane(float(n), math.fsum(r), budget))
+    return [row for row in rows if row.rhs < math.inf]
+
+
+def reference_candidate(scorer, rows, scale):
+    """The least key of one system's probes: its polygon's vertices, their
+    strict repairs nudged by +-1e-12 scale, and points pulled toward the
+    centroid, ranked one probe at a time by ``_Scorer.keys``."""
+    result = reference_feasible_point(rows)
+    if not result.feasible:
+        return None
+    vertices = result.vertices
+    cx = sum(v[0] for v in vertices) / len(vertices)
+    cy = sum(v[1] for v in vertices) / len(vertices)
+    nudge = 1e-12 * scale
+    points = []
+    for v in vertices:
+        repaired = reference_repair_strict(v, rows, scale=scale)
+        if repaired is not None:
+            points.append(repaired)
+            points.append((repaired[0] + nudge, repaired[1]))
+            points.append((max(0.0, repaired[0] - nudge), repaired[1]))
+        for t in (1e-6, 0.5):
+            points.append((v[0] + t * (cx - v[0]), v[1] + t * (cy - v[1])))
+    p, q = zip(*points)
+    return min(scorer.keys(p, q), default=None)
+
+
+def reference_least_feasible(attempt, lo, hi):
+    """``attempt`` at the smallest index in [lo, hi] where it returns a key,
+    by one bisection, each index attempted at most once."""
+    found = {}
+
+    def feasible(i):
+        if i not in found:
+            found[i] = attempt(i)
+        return found[i] is not None
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return found[lo] if feasible(lo) else None
+
+
+def reference_interval_solve(workers, budget, utility, kind, mode):
+    """``cp_subres`` (kind "picking") or ``cp_res`` (kind "blocking") one
+    system and one scan at a time."""
+    n = len(workers)
+    order = _quality_order(workers)
+    r = [workers[i].quality for i in order]
+    c = [workers[i].cost for i in order]
+    scale = _scale(c, budget)
+    scorer = _Scorer(workers, utility, budget)
+    found = [min(scorer.keys([0.0], [0.0]), default=None)]
+    if kind == "blocking":
+        found.append(reference_candidate(scorer, reference_rows(r, c, 0, 0, budget, "everyone"), scale))
+
+    def attempt(lo, hi):
+        return reference_candidate(scorer, reference_rows(r, c, lo, hi, budget, kind), scale)
+
+    for fixed in range(1, n + 1):
+        if kind == "picking":
+            hi = n + 1 - fixed
+            if mode == "linear":
+                found += [attempt(lo, hi) for lo in range(1, hi + 1)]
+            else:
+                found.append(reference_least_feasible(lambda lo: attempt(lo, hi), 1, hi))
+        elif mode == "linear":
+            found += [attempt(fixed, hi) for hi in range(fixed, n + 1)]
+        else:
+            found.append(reference_least_feasible(lambda hi: attempt(fixed, hi), fixed, n))
+    return scorer.report(min(key for key in found if key is not None))
+
+
+def solver_pools():
+    """The pools of ``TestScorerMatchesMakeReport``, the float-boundary
+    pools, and four of 20-30 workers (n = 25, 26, 21, 20): binary mode
+    bisects round by round above 256 systems (n > 22) and reads one table
+    below."""
+    yield from differential_pools(np.random.default_rng(61), 32, 2, 16)
+    yield from boundary_pools()
+    yield from differential_pools(np.random.default_rng(63), 4, 20, 30)
+
+
+class TestRegimeSolversMatchReference:
+    def test_reports_match_one_system_at_a_time(self):
+        for workers, budget, utility in solver_pools():
+            for solver, kind in ((cp_subres, "picking"), (cp_res, "blocking")):
+                for mode in ("binary", "linear"):
+                    report = solver(workers, budget, utility, mode=mode, diagnostics=False)
+                    assert report == reference_interval_solve(workers, budget, utility, kind, mode)
+
+    def test_every_clipped_system_matches_the_reference(self, monkeypatch):
+        # every batch the solvers hand to the kernel, each system checked
+        # against the one-system reference on its rows less the all-zero ones
+        batches = []
+        clip = common.clip_systems
+
+        def recording(*arrays):
+            batches.append(tuple(np.copy(a) for a in arrays))
+            return clip(*arrays)
+
+        monkeypatch.setattr(common, "clip_systems", recording)
+        for workers, budget, utility in solver_pools():
+            scale = _scale([w.cost for w in workers], budget)
+            for solver in (cp_subres, cp_res):
+                for mode in ("binary", "linear"):
+                    batches.clear()
+                    solver(workers, budget, utility, mode=mode, diagnostics=False)
+                    for arrays in batches:
+                        systems = [
+                            [
+                                HalfPlane(*row[:3], strict=bool(row[3]))
+                                for row in zip(*(a[k].tolist() for a in arrays))
+                                if any(row[:3])
+                            ]
+                            for k in range(len(arrays[0]))
+                        ]
+                        check_against_reference(systems, arrays=arrays, scales=(scale,))
+
+    def test_infinite_budget_systems_lose_rows(self):
+        # at B = inf the budget rows and the picking sentinels are zeroed,
+        # so one batch holds systems of 2 to 4 rows
+        rng = np.random.default_rng(64)
+        curve, lo, hi = responsive_curve(rng)
+        workers = curve_profile(curve, rng, 9, lo, hi)
+        order = _quality_order(workers)
+        r = [workers[i].quality for i in order]
+        c = [workers[i].cost for i in order]
+        pairs = [(lo, hi) for lo in range(1, 10) for hi in range(lo, 10)]
+        for build, kind in ((_picking_rows, "picking"), (_blocking_rows, "blocking")):
+            arrays = build(r, c, pairs, math.inf)
+            systems = [reference_rows(r, c, lo, hi, math.inf, kind) for lo, hi in pairs]
+            assert {len(rows) for rows in systems} == {2, 3, 4}
+            check_against_reference(systems, arrays=arrays, scales=(_scale(c, math.inf),))
+
+
+class TestLockstepBisection:
+    def test_each_scan_tries_what_it_tries_alone(self):
+        # feasibility tables, monotone or not: the lockstep search ends each
+        # scan where its own bisection ends, tries the same systems, none
+        # twice, in at most ceil(log2(longest scan)) + 1 calls
+        rng = np.random.default_rng(81)
+        for trial in range(300):
+            lengths = rng.integers(1, 48, size=int(rng.integers(1, 12))).tolist()
+            if trial % 2:
+                tables = [np.arange(n) >= rng.integers(0, n + 1) for n in lengths]
+            else:
+                tables = [rng.random(n) < rng.uniform(0.1, 0.9) for n in lengths]
+            scans = [[(s, i) for i in range(n)] for s, n in enumerate(lengths)]
+            calls = []
+
+            def feasible(pairs):
+                calls.append(list(pairs))
+                return np.array([tables[s][i] for s, i in pairs], dtype=bool)
+
+            chosen = _least_feasible(feasible, scans)
+            want, tried = [], set()
+            for s, table in enumerate(tables):
+
+                def attempt(i, s=s, table=table):
+                    tried.add((s, i))
+                    return (s, i) if table[i] else None
+
+                key = reference_least_feasible(attempt, 0, len(table) - 1)
+                if key is not None:
+                    want.append(key)
+            assert chosen == want
+            asked = [pair for call in calls for pair in call]
+            assert len(asked) == len(set(asked)) and set(asked) == tried
+            assert len(calls) <= math.ceil(math.log2(max(lengths))) + 1
+
+
+def binary_miss_pool():
+    """Responsive draw #21 (0-based; n = 36) of the stream rng(2026) that
+    first draws 40 unresponsive and 40 subresponsive pools: curve, then
+    n ~ U{20..40}, sorted costs, budget U(0.05, 1.3) times their sum."""
+    rng = np.random.default_rng(2026)
+    for maker in (unresponsive_curve, subresponsive_curve, responsive_curve):
+        for index in range(40):
+            curve, lo, hi = maker(rng)
+            n = int(rng.integers(20, 41))
+            costs = np.sort(rng.uniform(lo, hi, size=n))
+            fraction = rng.uniform(0.05, 1.3)
+            if maker is responsive_curve and index == 21:
+                workers = [WorkerProfile(float(curve(c)), float(c), i + 1) for i, c in enumerate(costs)]
+                return workers, float(fraction * costs.sum())
+    raise AssertionError("unreachable")
+
+
+class TestBinaryMissPool:
+    """The responsive pool on which binary ``cp_res`` is known to miss."""
+
+    def test_linear_mode_reaches_the_oracle(self):
+        workers, budget = binary_miss_pool()
+        assert len(workers) == 36 and budget == pytest.approx(12.70, abs=5e-3)
+        utility = make_typo(25, 1)
+        oracle = cp_exact_oracle(workers, budget, utility)
+        assert oracle.utility_value == pytest.approx(4.400, abs=5e-4)
+        linear = cp_res(workers, budget, utility, mode="linear", diagnostics=False)
+        assert linear.utility_value == oracle.utility_value
+
+    def test_binary_mode_keeps_its_report(self):
+        # This pins the known miss of binary mode (ROADMAP item 1), not a
+        # correct answer: with lo = 12 only hi = 34 is feasible, and the
+        # bisection never tries it.  The fix will change this report.
+        workers, budget = binary_miss_pool()
+        binary = cp_res(workers, budget, make_typo(25, 1), diagnostics=False)
+        assert binary == common.CpSolveReport(
+            policy=common.CommonPolicy(base=0.2711739353524311, bonus=2.014088622948232),
+            accepted=(0, 1, 2, 3, 4, 5, 6, 7, 8, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35),
+            spent=12.615168302866657,
+            utility_value=4.298127718402628,
+            structure=common.StructureClass(StructureKind.BLOCKING, 11, 27),
+        )

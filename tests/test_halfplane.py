@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from crowdprice.halfplane import HalfPlane, feasible_point, repair_strict
+from crowdprice.halfplane import (
+    HalfPlane,
+    _first_apart,
+    clip_systems,
+    feasible_point,
+    repair_strict,
+    repair_vertices,
+)
+from halfplane_reference import (
+    reference_clip,
+    reference_feasible_point,
+    reference_repair_strict,
+)
 
 
 class TestFeasiblePoint:
@@ -190,3 +202,157 @@ class TestRepairMatchesLoopReference:
         assert loop_repair((1.0, -0.5), rows) is None
         self.check((1.0, -0.5), rows)
         self.check((2.0, -1e-300), rows)
+
+
+ZERO_ROW = HalfPlane(0.0, 0.0, 0.0)
+
+
+def system_arrays(systems):
+    """The (K x R) arrays of ``clip_systems`` for K row lists, each padded
+    with the all-zero row to the longest."""
+    width = max((len(rows) for rows in systems), default=0)
+    padded = [list(rows) + [ZERO_ROW] * (width - len(rows)) for rows in systems]
+    return tuple(
+        np.array([[getattr(row, f) for row in rows] for rows in padded], dtype=dtype).reshape(
+            len(systems), width
+        )
+        for f, dtype in (("a_p", float), ("a_q", float), ("rhs", float), ("strict", bool))
+    )
+
+
+def polygon(polygons, k):
+    count = int(polygons.count[k])
+    return tuple(zip(polygons.x[k, :count].tolist(), polygons.y[k, :count].tolist()))
+
+
+def check_against_reference(systems, arrays=None, scales=(1.0,)):
+    """``clip_systems`` on all K systems in one call gives each system the
+    feasibility and the vertex tuple of the one-system reference, whose
+    input is the row list; ``repair_vertices`` on every vertex of every
+    system, in one call per scale, gives the reference's repair.  ``arrays``
+    are the kernel's input when the caller has them (else the padded row
+    lists)."""
+    arrays = system_arrays(systems) if arrays is None else arrays
+    polygons = clip_systems(*arrays)
+    assert len(polygons.count) == len(systems)
+    points = []
+    for k, rows in enumerate(systems):
+        ref = reference_feasible_point(rows)
+        assert bool(polygons.feasible[k]) == ref.feasible
+        assert polygon(polygons, k) == ref.vertices
+        points += [(k, v) for v in ref.vertices]
+    system = np.array([k for k, _ in points], dtype=np.intp)
+    p = np.array([v[0] for _, v in points])
+    q = np.array([v[1] for _, v in points])
+    for scale in scales:
+        ok, base = repair_vertices(p, q, system, *arrays, scale)
+        for t, (k, vertex) in enumerate(points):
+            ref = reference_repair_strict(vertex, systems[k], scale=scale)
+            assert ((float(base[t]), vertex[1]) if ok[t] else None) == ref
+    return polygons
+
+
+def random_rows(rng, count, strict=True):
+    return [
+        HalfPlane(
+            float(rng.uniform(-2, 2)),
+            float(rng.uniform(-2, 2)),
+            float(rng.uniform(-1, 2)),
+            strict=bool(strict and rng.integers(0, 2)),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestClipMatchesReference:
+    def test_random_systems(self):
+        rng = np.random.default_rng(71)
+        systems = [random_rows(rng, int(rng.integers(1, 6))) for _ in range(1100)]
+        polygons = check_against_reference(systems, scales=(1.0, 2.5))
+        assert 0 < polygons.feasible.sum() < len(systems)
+
+    def test_one_system_forms(self):
+        rng = np.random.default_rng(72)
+        for _ in range(300):
+            rows = random_rows(rng, int(rng.integers(0, 6)))
+            assert feasible_point(rows) == reference_feasible_point(rows)
+            point = tuple(float(v) for v in rng.uniform(0.0, 2.0, size=2))
+            assert repair_strict(point, rows) == reference_repair_strict(point, rows)
+
+    def test_mixed_row_counts(self):
+        # systems of 0 to 8 rows in one call: the shorter ones padded with
+        # all-zero rows, which must bound nothing
+        rng = np.random.default_rng(73)
+        systems = [random_rows(rng, int(rng.integers(0, 9))) for _ in range(400)]
+        check_against_reference(systems)
+        # the same systems with the zero rows in the middle
+        padded = [rows[:1] + [ZERO_ROW, ZERO_ROW] + rows[1:] for rows in systems]
+        polygons = clip_systems(*system_arrays(padded))
+        assert [polygon(polygons, k) for k in range(len(padded))] == [
+            reference_feasible_point(rows).vertices for rows in systems
+        ]
+
+    def test_constant_and_empty_systems(self):
+        constant = [
+            HalfPlane(0.0, 0.0, -0.5),  # 0 <= -0.5: fails
+            HalfPlane(0.0, 0.0, 0.5),
+            HalfPlane(0.0, 0.0, 0.0, strict=True),  # 0 < 0: fails
+            HalfPlane(0.0, 0.0, 0.5, strict=True),
+            HalfPlane(1e-14, 0.0, 1.0),  # constant once normalized
+            HalfPlane(0.0, 0.0, -1e-13),  # within the tolerance
+            HalfPlane(1e-13, -1e-13, -1.0),  # constant, and fails
+        ]
+        other = [HalfPlane(-1.0, 0.0, -0.5), HalfPlane(1.0, 1.0, 2.0, strict=True)]
+        systems = [[]] + [[row] for row in constant]
+        systems += [[row, *other] for row in constant] + [[*other, row] for row in constant]
+        systems += [[constant[1], constant[3]], [constant[1], HalfPlane(1.0, 1.0, -1.0)]]
+        polygons = check_against_reference(systems, scales=(1.0, 1e-3))
+        assert polygon(polygons, 0) == ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
+        for rows in systems:
+            assert feasible_point(rows) == reference_feasible_point(rows)
+
+    def test_vertices_clamped_to_the_quadrant(self):
+        # (0, 1) is inside p + q <= 1 - 5e-13 only by the tolerance, so the
+        # edge from (E, 1) crosses it at t > 1, at p = -5e-13, and the clamp
+        # makes that crossing a second (0, 1)
+        rows = [HalfPlane(0.0, 1.0, 1.0), HalfPlane(1.0, 1.0, 1.0 - 0.5e-12)]
+        polygons = check_against_reference([rows], scales=(1.0,))
+        assert polygon(polygons, 0).count((0.0, 1.0)) == 2
+
+    def test_near_concurrent_rows(self):
+        # rows through one point, each moved off it by 1e-14 to 3e-12: the
+        # clipped vertices crowd within the 1e-13 duplicate rule, in chains
+        # where a vertex near a dropped one is kept
+        rng = np.random.default_rng(74)
+        systems = []
+        for _ in range(3000):
+            p0, q0 = rng.uniform(0.0, 1.0, size=2)
+            rows = []
+            for _ in range(int(rng.integers(2, 7))):
+                theta = rng.uniform(0.0, 2.0 * np.pi)
+                a, b = np.cos(theta), np.sin(theta)
+                shift = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -11.5)
+                rows.append(HalfPlane(float(a), float(b), float(a * p0 + b * q0 + shift)))
+            systems.append(rows)
+        check_against_reference(systems)
+
+    def test_duplicate_chain(self):
+        # each vertex is compared with the vertices kept before it, not with
+        # every earlier one: (1.6e-13, 0) is near the dropped (0.8e-13, 0)
+        # only, so it stays
+        step = 0.8e-13
+        chains = [
+            [(k * step, 0.0) for k in range(6)],
+            [(0.5, 0.5 + k * step) for k in range(5)],
+            [(k * step, k * step) for k in range(5)] + [(1.0, 1.0)],
+            [(0.0, 0.0), (2 * step, 0.0), (step, 0.0), (3 * step, 0.0)],
+        ]
+        keep_all = HalfPlane(0.0, 0.0, 1.0)  # clips nothing, so only the rule acts
+        for chain in chains:
+            x = np.array([[v[0] for v in chain]])
+            y = np.array([[v[1] for v in chain]])
+            kept = _first_apart(x, y, np.ones(x.shape, dtype=bool))[0]
+            assert [v for v, k in zip(chain, kept) if k] == reference_clip(chain, keep_all)
+        assert sum(_first_apart(
+            np.array([[v[0] for v in chains[0]]]), np.zeros((1, 6)), np.ones((1, 6), dtype=bool)
+        )[0]) == 3

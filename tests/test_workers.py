@@ -309,3 +309,12 @@ class TestIngest:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             load_workers_csv("id,quality,cost\n1,-0.1,0.3\n")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", ["quality", "cost"])
+    def test_non_finite_values_rejected(self, field, value):
+        row = {"quality": "0.5", "cost": "0.3", field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            load_workers_csv(f"id,quality,cost\n1,{row['quality']},{row['cost']}\n")
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WorkerProfile(**{"quality": 0.5, "cost": 0.3, field: float(value)})
