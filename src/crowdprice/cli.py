@@ -219,9 +219,12 @@ def simulate_command(config_path: str, out_dir: str | None) -> None:
     result = run_scenario(scenario)
     target = out_dir or scenario.output_dir or os.environ.get("CROWDPRICE_OUT", "crowdprice-out")
     outdir = Path(target)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "result.json").write_text(result.to_json() + "\n", encoding="utf-8")
-    written = emit_plot_data(result, outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "result.json").write_text(result.to_json() + "\n", encoding="utf-8")
+        written = emit_plot_data(result, outdir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the results to {target!r}: {exc}") from exc
     _emit(
         {
             "output_dir": str(outdir),

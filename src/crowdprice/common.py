@@ -468,12 +468,10 @@ def _least_feasible(
     bisection over the scan; a scan whose last system fails gives none.
 
     The bisection trusts that feasibility is monotone along a scan, which
-    holds for ``cp_subres``'s scans on the pools measured but not for
-    ``cp_res``'s on every responsive pool (see :func:`cp_res`); there it can
-    step over the only feasible systems.  The scans are independent, so
-    they advance in lockstep: each round tests the next system of every
-    unfinished scan in one call, about log2(len) + 1 calls in all.  Each
-    scan tests the systems it would alone, each at most once.
+    holds for ``cp_subres``'s scans on the pools measured.  The scans are
+    independent, so they advance in lockstep: each round tests the next
+    system of every unfinished scan in one call, about log2(len) + 1 calls
+    in all.  Each scan tests the systems it would alone, each at most once.
     """
     bounds = [(0, len(scan) - 1) for scan in scans]
     found: list[dict[int, bool]] = [{} for _ in scans]
@@ -492,6 +490,17 @@ def _least_feasible(
                 bounds[s] = (lo, i) if ok else (i + 1, hi)
 
 
+def _scan(
+    scorer: _Scorer, rows: Callable[[list[Pair]], Systems], pairs: list[Pair], scale: float
+) -> list[Key | None]:
+    """The least key of each batch of ``_LINEAR_BATCH`` (lo, hi) systems,
+    every probe of every system ranked."""
+    return [
+        _best_of(scorer, rows(pairs[start : start + _LINEAR_BATCH]), scale)
+        for start in range(0, len(pairs), _LINEAR_BATCH)
+    ]
+
+
 def _interval_search(
     scorer: _Scorer,
     rows: Callable[[list[Pair]], Systems],
@@ -499,12 +508,12 @@ def _interval_search(
     mode: str,
     scale: float,
 ) -> list[Key | None]:
-    """The keys a regime solver takes from its (lo, hi) systems.
+    """The keys ``cp_subres`` takes from its (lo, hi) systems.
 
     "binary" keeps each scan's first feasible system, a system being
     feasible when one of its probes is affordable, and ranks the probes of
-    those systems; "linear" ranks the probes of every system, in batches of
-    ``_LINEAR_BATCH`` systems.  The answer is the least key either way.
+    those systems; "linear" ranks the probes of every system
+    (:func:`_scan`).  The answer is the least key either way.
 
     A kernel call costs about as much for a few systems as for a few
     hundred, so a binary solve with at most ``_LINEAR_BATCH`` systems in
@@ -535,10 +544,7 @@ def _interval_search(
         p, q, system = (np.concatenate(column) for column in zip(*tested))
         mine = np.isin(system, [lo << 32 | hi for lo, hi in chosen])
         return [scorer.best(p[mine], q[mine])]
-    return [
-        _best_of(scorer, rows(pairs[start : start + _LINEAR_BATCH]), scale)
-        for start in range(0, len(pairs), _LINEAR_BATCH)
-    ]
+    return _scan(scorer, rows, pairs, scale)
 
 
 def cp_subres(
@@ -586,26 +592,15 @@ def cp_res(
     mode: str = "binary",
     diagnostics: bool = True,
 ) -> CpSolveReport:
-    """Common pricing for effort-responsive profiles.
+    """Optimal common pricing for effort-responsive profiles.
 
     The mirror of :func:`cp_subres` over blocking structures: the policy
-    must make a quality-rank interval decline and everyone else accept.
-    Scans the lower end l of the blocked interval; for each l, "linear"
-    tries every upper end and is exact on responsive profiles, and
-    "binary" bisects for the smallest upper end with a feasible system and
-    keeps that one.  The block-nobody candidate (accept everyone) is
-    handled separately since it constrains all ranks.
-
-    Binary mode is not exact on every responsive pool.  Its two premises,
-    that feasibility is monotone in the upper end and that the least
-    blocking recruits the most utility, are both false in general: the
-    rows force rank u + 1 to accept and take the budget over a complement
-    that changes with u, so the polygons of successive u are not nested.
-    On the pool of responsive draw #21 (n = 36) of rng(2026), priced under
-    typo m = 1 at budget 12.70, only u = 34 is feasible for l = 12, the
-    bisection never tries it, and binary mode returns 4.298 where linear
-    mode and :func:`cp_exact_oracle` reach 4.400.  Binary mode bisects all
-    lower ends in lockstep (:func:`_least_feasible`).
+    must make a quality-rank interval [l, u] decline and everyone else
+    accept.  Both modes try every interval, in batches of
+    ``_LINEAR_BATCH`` systems, and keep the best report; a bisection over
+    u would be unsound, since the polygons of successive u are not nested.
+    The block-nobody candidate (accept everyone) is handled separately
+    since it constrains all ranks.
     """
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
@@ -623,10 +618,8 @@ def cp_res(
     found = [scorer.best([0.0], [0.0])]
     # block nobody: everyone accepts within budget
     found.append(_best_of(scorer, _everyone_rows(r, c, budget), scale))
-    scans = [[(lo, hi) for hi in range(lo, n + 1)] for lo in range(1, n + 1)]
-    found += _interval_search(
-        scorer, partial(_blocking_rows, r, c, budget=budget), scans, mode, scale
-    )
+    pairs = [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+    found += _scan(scorer, partial(_blocking_rows, r, c, budget=budget), pairs, scale)
     return scorer.report(min(key for key in found if key is not None))
 
 
@@ -860,8 +853,8 @@ def cp_exact_oracle(
 
     ``max_n`` defaults to ``ORACLE_LIMIT`` (64): up to there the oracle
     takes at most twice as long as the three regime solvers that
-    ``cp_for_regime`` falls back to (median on unclassified pools: 50 vs
-    37 ms at n = 64, 516 vs 110 ms at n = 128).  Callers that accept the
+    ``cp_for_regime`` falls back to (median on unclassified pools: 62 vs
+    39 ms at n = 64, 587 vs 127 ms at n = 128).  Callers that accept the
     cost past it pass ``max_n=n``.
     """
     if not budget >= 0:

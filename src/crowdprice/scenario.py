@@ -25,7 +25,14 @@ from .bonus import (
     policy_from_config,
     translate,
 )
-from .common import ORACLE_LIMIT, CpSolveReport, cp_exact_oracle, cp_for_regime, cp_no_bonus
+from .common import (
+    ORACLE_LIMIT,
+    CpSolveReport,
+    _quality_order,
+    cp_exact_oracle,
+    cp_for_regime,
+    cp_no_bonus,
+)
 from .errors import ConfigError, InvariantBreach
 from .personalized import (
     ENUMERATION_LIMIT,
@@ -39,6 +46,12 @@ from .utilities import UtilityFunction, utility_from_config
 from .workers import Regime, WorkerProfile, decide, empirical_regime, load_workers
 
 __all__ = ["Scenario", "SweepPointResult", "RunResult", "run_scenario", "emit_plot_data"]
+
+
+def _known_keys(section: str, settings: dict, allowed: set[str]) -> None:
+    unknown = set(settings) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +73,16 @@ class Scenario:
             population = cfg["population"]
             if not isinstance(population, dict):
                 raise ConfigError("population must be an object")
+            _known_keys("population", population, {"file", "generator"})
             pop_file = population.get("file")
             generator = population.get("generator")
             if (pop_file is None) == (generator is None):
                 raise ConfigError("population needs exactly one of 'file' or 'generator'")
+            if generator is not None:
+                if not isinstance(generator, dict):
+                    raise ConfigError("population.generator must be an object")
+                allowed = {"n", "seed", "alpha", "beta", "slope"}
+                _known_keys("population.generator", generator, allowed)
             if pop_file is not None and not Path(pop_file).exists():
                 raise ConfigError(f"population file {pop_file!r} does not exist")
             utility = cfg["utility"]
@@ -77,9 +96,7 @@ class Scenario:
                 raise ConfigError("budget must be >= 0")
             seed = int(cfg.get("seed", 0))
             solvers = cfg.get("solvers", {})
-            unknown = set(solvers) - {"pp", "cp", "cross_check"}
-            if unknown:
-                raise ConfigError(f"unknown solvers keys {sorted(unknown)}")
+            _known_keys("solvers", solvers, {"pp", "cp", "cross_check"})
             pp_mode = solvers.get("pp", "auto")
             cp_mode = solvers.get("cp", "auto")
             if pp_mode not in ("auto", "exact", "greedy"):
@@ -338,12 +355,8 @@ def emit_plot_data(result: RunResult, outdir: str | Path) -> list[Path]:
         label = pt.policy.label
         for w, s in zip(pt.workers, pt.abilities):
             curves.append(f"{label},{w.id},{_fmt(w.cost)},{_fmt(s)},{_fmt(w.quality)}")
-        order = sorted(
-            range(len(pt.workers)),
-            key=lambda i: (-pt.workers[i].quality, pt.workers[i].cost, i),
-        )
         accepted = set(pt.cp.accepted)
-        for rank, i in enumerate(order, start=1):
+        for rank, i in enumerate(_quality_order(pt.workers), start=1):
             decisions.append(f"{label},{rank},{pt.workers[i].id},{int(i in accepted)}")
         pricing.append(
             f"{label},{_fmt(pt.cp.policy.base)},{_fmt(pt.cp.policy.bonus)},"

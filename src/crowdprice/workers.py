@@ -350,13 +350,15 @@ def load_workers_json(text: str, strict: bool = False) -> list[WorkerProfile]:
         raise ValueError("worker JSON must be an array of objects")
     workers = []
     for entry in data:
-        workers.append(
-            WorkerProfile(
-                quality=float(entry["quality"]),
-                cost=float(entry["cost"]),
-                id=entry.get("id", len(workers) + 1),
-            )
-        )
+        try:
+            quality, cost = float(entry["quality"]), float(entry["cost"])
+            wid = entry.get("id", len(workers) + 1)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"worker entry {len(workers)} must be an object with numeric "
+                f"'quality' and 'cost': {entry!r}"
+            ) from None
+        workers.append(WorkerProfile(quality=quality, cost=cost, id=wid))
     return _validate(workers, strict)
 
 

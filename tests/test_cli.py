@@ -84,6 +84,14 @@ class TestCpCommand:
         assert result.exit_code == 2
         assert "cost must be finite" in result.output
 
+    @pytest.mark.parametrize("text", ['[{"id": 1, "quality": 0.5}]', "[[0.5, 1.0]]"])
+    def test_malformed_json_workers_exit_code(self, runner, tmp_path, text):
+        path = tmp_path / "workers.json"
+        path.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["cp", "--workers", str(path), "--budget", "1.0"])
+        assert result.exit_code == 2
+        assert "error: worker entry 0" in result.output
+
     def test_oracle(self, runner, workers_file):
         result = runner.invoke(
             main, ["cp", "--workers", workers_file, "--budget", "0.6", "--oracle"]
@@ -261,6 +269,23 @@ class TestSimulateCommand:
         assert result.exit_code == 0
         assert (out / "result.json").exists()
         assert (out / "utilities.csv").exists()
+
+    def test_unwritable_out_exit_code(self, runner, tmp_path):
+        config = {
+            "population": {"generator": {"n": 6, "seed": 9}},
+            "utility": {"kind": "typo", "M": 25},
+            "bonus_policies": [{"kind": "linear", "M": 25}],
+            "budget": 1.5,
+        }
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        for out in (taken, taken / "sub"):
+            result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
+            assert result.exit_code == 2
+            assert "error: cannot write the results" in result.output
+            assert taken.read_text(encoding="utf-8") == "not a directory"
 
     def test_config_error_exit_code(self, runner, tmp_path):
         cfg_path = tmp_path / "scenario.json"

@@ -600,8 +600,7 @@ class TestOracleAtScale:
             assert spent == oracle.spent <= budget
 
     def test_regime_solvers_reach_the_optimum(self):
-        # cp_res is not compared: its binary mode is known to miss on some
-        # responsive pools, and gets its test with the fix
+        # cp_res has its own test below
         rng = np.random.default_rng(58)
         # cp_subres runs in its default binary mode
         for maker, solver in ((unresponsive_curve, cp_unres), (subresponsive_curve, cp_subres)):
@@ -615,7 +614,6 @@ class TestOracleAtScale:
                 assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
 
     def test_linear_modes_reach_the_optimum(self):
-        # binary cp_res is left out: it misses on some responsive pools
         rng = np.random.default_rng(59)
         for maker, solver in ((subresponsive_curve, cp_subres), (responsive_curve, cp_res)):
             for utility in (make_typo(25, 1), make_additive()):
@@ -626,6 +624,19 @@ class TestOracleAtScale:
                 oracle = cp_exact_oracle(workers, budget, utility, max_n=n)
                 report = solver(workers, budget, utility, mode="linear", diagnostics=False)
                 assert report.utility_value == pytest.approx(oracle.utility_value, abs=1e-9)
+
+    def test_cp_res_reaches_the_optimum(self):
+        rng = np.random.default_rng(60)
+        utilities = (make_typo(25, 1), make_typo(25, 13), make_additive())
+        for k in range(12):
+            curve, lo, hi = responsive_curve(rng)
+            n = int(rng.integers(30, 65))
+            workers = curve_profile(curve, rng, n, lo, hi)
+            budget = float(rng.uniform(0.05, 1.3) * sum(w.cost for w in workers))
+            utility = utilities[k % 3]
+            oracle = cp_exact_oracle(workers, budget, utility)
+            report = cp_res(workers, budget, utility, mode="binary", diagnostics=False)
+            assert report.utility_value == oracle.utility_value
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +720,8 @@ def reference_least_feasible(attempt, lo, hi):
 
 def reference_interval_solve(workers, budget, utility, kind, mode):
     """``cp_subres`` (kind "picking") or ``cp_res`` (kind "blocking") one
-    system and one scan at a time."""
+    system and one scan at a time; ``cp_res`` scans every system, so kind
+    "blocking" ignores ``mode``."""
     n = len(workers)
     order = _quality_order(workers)
     r = [workers[i].quality for i in order]
@@ -730,18 +742,16 @@ def reference_interval_solve(workers, budget, utility, kind, mode):
                 found += [attempt(lo, hi) for lo in range(1, hi + 1)]
             else:
                 found.append(reference_least_feasible(lambda lo: attempt(lo, hi), 1, hi))
-        elif mode == "linear":
-            found += [attempt(fixed, hi) for hi in range(fixed, n + 1)]
         else:
-            found.append(reference_least_feasible(lambda hi: attempt(fixed, hi), fixed, n))
+            found += [attempt(fixed, hi) for hi in range(fixed, n + 1)]
     return scorer.report(min(key for key in found if key is not None))
 
 
 def solver_pools():
     """The pools of ``TestScorerMatchesMakeReport``, the float-boundary
-    pools, and four of 20-30 workers (n = 25, 26, 21, 20): binary mode
-    bisects round by round above 256 systems (n > 22) and reads one table
-    below."""
+    pools, and four of 20-30 workers (n = 25, 26, 21, 20): binary
+    ``cp_subres`` bisects round by round above 256 systems (n > 22) and
+    reads one table below."""
     yield from differential_pools(np.random.default_rng(61), 32, 2, 16)
     yield from boundary_pools()
     yield from differential_pools(np.random.default_rng(63), 4, 20, 30)
@@ -753,7 +763,9 @@ class TestRegimeSolversMatchReference:
             for solver, kind in ((cp_subres, "picking"), (cp_res, "blocking")):
                 for mode in ("binary", "linear"):
                     report = solver(workers, budget, utility, mode=mode, diagnostics=False)
-                    assert report == reference_interval_solve(workers, budget, utility, kind, mode)
+                    # cp_res scans every system in both modes
+                    want = mode if solver is cp_subres else "linear"
+                    assert report == reference_interval_solve(workers, budget, utility, kind, want)
 
     def test_every_clipped_system_matches_the_reference(self, monkeypatch):
         # every batch the solvers hand to the kernel, each system checked
@@ -854,7 +866,8 @@ def binary_miss_pool():
 
 
 class TestBinaryMissPool:
-    """The responsive pool on which binary ``cp_res`` is known to miss."""
+    """The responsive pool on which binary ``cp_res`` once missed: with
+    lo = 12 only hi = 34 is feasible, and its bisection never tried it."""
 
     def test_linear_mode_reaches_the_oracle(self):
         workers, budget = binary_miss_pool()
@@ -865,16 +878,9 @@ class TestBinaryMissPool:
         linear = cp_res(workers, budget, utility, mode="linear", diagnostics=False)
         assert linear.utility_value == oracle.utility_value
 
-    def test_binary_mode_keeps_its_report(self):
-        # This pins the known miss of binary mode (ROADMAP item 1), not a
-        # correct answer: with lo = 12 only hi = 34 is feasible, and the
-        # bisection never tries it.  The fix will change this report.
+    def test_binary_mode_reaches_the_oracle(self):
         workers, budget = binary_miss_pool()
-        binary = cp_res(workers, budget, make_typo(25, 1), diagnostics=False)
-        assert binary == common.CpSolveReport(
-            policy=common.CommonPolicy(base=0.2711739353524311, bonus=2.014088622948232),
-            accepted=(0, 1, 2, 3, 4, 5, 6, 7, 8, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35),
-            spent=12.615168302866657,
-            utility_value=4.298127718402628,
-            structure=common.StructureClass(StructureKind.BLOCKING, 11, 27),
-        )
+        utility = make_typo(25, 1)
+        oracle = cp_exact_oracle(workers, budget, utility)
+        binary = cp_res(workers, budget, utility, diagnostics=False)
+        assert binary.utility_value == oracle.utility_value

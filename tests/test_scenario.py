@@ -70,6 +70,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             Scenario.from_config(cfg)
 
+    @pytest.mark.parametrize(
+        "population",
+        [
+            {"generator": {"n": 8}, "seed": 3},
+            {"generator": {"n": 8}, "files": "w.csv"},
+            {"generator": {"N": 40, "sed": 3}},
+            {"generator": {"n": 8, "cost_alpha": 2.0}},
+            {"generator": [["n", 8]]},
+        ],
+    )
+    def test_unknown_population_settings(self, population):
+        cfg = small_config()
+        cfg["population"] = population
+        with pytest.raises(ConfigError, match="population"):
+            Scenario.from_config(cfg)
+
+    def test_every_generator_setting_is_accepted(self):
+        cfg = small_config()
+        cfg["population"] = {
+            "generator": {"n": 8, "seed": 3, "alpha": 2.0, "beta": 4.0, "slope": 1.5}
+        }
+        assert Scenario.from_config(cfg).generator["alpha"] == 2.0
+
     @pytest.mark.parametrize("utility", [{"kind": "typo"}, "typo", {"kind": "psychic"}])
     def test_malformed_utility(self, utility):
         cfg = small_config()

@@ -310,6 +310,21 @@ class TestIngest:
         with pytest.raises(ValueError):
             load_workers_csv("id,quality,cost\n1,-0.1,0.3\n")
 
+    @pytest.mark.parametrize(
+        "text, entry",
+        [
+            ('[{"id": 1, "quality": 0.5}]', 0),
+            ("[[0.5, 1.0]]", 0),
+            ("[0.5]", 0),
+            ('[{"quality": 0.5, "cost": "cheap"}]', 0),
+            ('[{"quality": null, "cost": 0.3}]', 0),
+            ('[{"quality": 0.9, "cost": 0.3}, {"quality": 0.5, "price": 0.2}]', 1),
+        ],
+    )
+    def test_malformed_json_entries_rejected(self, text, entry):
+        with pytest.raises(ValueError, match=f"worker entry {entry} must be an object"):
+            load_workers_json(text)
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("field", ["quality", "cost"])
     def test_non_finite_values_rejected(self, field, value):
