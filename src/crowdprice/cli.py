@@ -9,6 +9,7 @@ print JSON to stdout.  Exit codes: 0 success, 2 config/usage error,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -214,17 +215,35 @@ def poa_command(workers_path: str, budget: float, utility_spec: str) -> None:
 @click.option("--out", "out_dir", default=None, help="Output directory (overrides config).")
 @_wrap
 def simulate_command(config_path: str, out_dir: str | None) -> None:
-    """Run a scenario config end to end and write result files."""
+    """Run a scenario config end to end and write result files.
+
+    The output directory is made before the run, so an unwritable target
+    fails before any work; if the run fails, a directory made here is
+    removed again while it is still empty."""
     scenario = Scenario.from_file(config_path)
-    result = run_scenario(scenario)
     target = out_dir or scenario.output_dir or os.environ.get("CROWDPRICE_OUT", "crowdprice-out")
     outdir = Path(target)
+
+    def unwritable(exc: OSError) -> ConfigError:
+        return ConfigError(f"cannot write the results to {target!r}: {exc}")
+
+    created = not outdir.exists()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise unwritable(exc) from exc
+    try:
+        result = run_scenario(scenario)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                outdir.rmdir()
+        raise
+    try:
         (outdir / "result.json").write_text(result.to_json() + "\n", encoding="utf-8")
         written = emit_plot_data(result, outdir)
     except OSError as exc:
-        raise ConfigError(f"cannot write the results to {target!r}: {exc}") from exc
+        raise unwritable(exc) from exc
     _emit(
         {
             "output_dir": str(outdir),

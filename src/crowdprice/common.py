@@ -39,11 +39,11 @@ __all__ = [
     "make_report",
 ]
 
-# the cap on the workers handed to the exact oracle, one 64-bit word per
+# the cap on the workers handed to the exact oracle, two 64-bit words per
 # accepted set: the largest word boundary at which the oracle costs at most
 # twice the three regime solvers on unclassified pools (README, "Exact oracle")
-ORACLE_LIMIT = 64
-_ORACLE_CHUNK_ROWS = 1 << 12
+ORACLE_LIMIT = 128
+_ORACLE_CHUNK_ROWS = 1 << 14
 # (lo, hi) systems clipped and ranked together by a linear-mode regime solve
 _LINEAR_BATCH = 256
 
@@ -650,7 +650,7 @@ def cp_for_regime(
     """Common pricing by the solver of the profile's regime.
 
     An unclassified profile goes to the exact oracle when it has at most
-    ``ORACLE_LIMIT`` (64) workers, and otherwise to the best of the three
+    ``ORACLE_LIMIT`` (128) workers, and otherwise to the best of the three
     regime solvers, which are exact only on the regime they assume.
     """
     solvers = {
@@ -709,6 +709,17 @@ def _worker_bits(n: int) -> np.ndarray:
     return packed.view(np.uint64)
 
 
+def _overspends(floor: np.ndarray, n: int, limit: float) -> np.ndarray:
+    """Whether every row whose exact spend is at least the exact value of
+    ``floor`` spends more than ``limit`` in float.  A floor is a float sum
+    of at most n + 1 nonnegative products, within (n + 2) u of its exact
+    value relatively (u = 2^-53), and a row's spend p |S| + q R_S, R_S a
+    sum of at most n terms, within (n + 2) u of its own; the margin doubles
+    their sum, as ``_Scorer._spend_bounds`` does.  An infinite floor
+    decides nothing."""
+    return floor - floor * ((n + 2) * 2.0**-51) > limit
+
+
 def _chunk_candidates(
     q: np.ndarray, r: np.ndarray, c: np.ndarray, bits: np.ndarray, limit: float
 ) -> Candidates:
@@ -725,9 +736,24 @@ def _chunk_candidates(
     by column with the bonus ascending, so a column's set repeats over runs
     of consecutive rows; spend is summed once per run, and a run keeps only
     its rows of least spend.
+
+    Rows that must spend more than ``limit`` are never built.  fl(p + q r_i)
+    grows with p, so every row at a bonus accepts the set of its base-0 row,
+    the workers with q r_i >= c_i, and a bonus whose base-0 row overspends
+    is dropped before its sort.  A key's two rows re-test only the ranks
+    from its group's first, lo, up, so they accept every rank below lo; a
+    key whose k lo + sum over those ranks of q r_i overspends has both rows
+    dropped (its bump's base is higher still).  No dropped row can be the
+    least (spend, p, q) of its set within ``limit``.
     """
-    m, n = len(q), len(r)
+    n = len(r)
     qr = q[:, None] * r
+    fits = ~_overspends(np.where(qr >= c, qr, 0.0).sum(axis=1), n, limit)
+    q, qr = q[fits], qr[fits]
+    m = len(q)
+    if not m:
+        empty = np.empty(0)
+        return np.empty((0, bits.shape[1]), dtype=np.uint64), empty, empty, empty
     keys = c - qr
     perm = np.argsort(keys, axis=1, kind="stable")
     ks = np.take_along_axis(keys, perm, axis=1)
@@ -773,11 +799,19 @@ def _chunk_candidates(
     hi[2::2] = hi[3::2] = group_hi.T
     own = base[2:].reshape(n, 2, m) + qr_sorted.T[:, None] >= c_sorted.T[:, None]
     pivot[2:] = (rank[:, None, None] + own).reshape(2 * n, m)
+    # a key's rows accept the ranks below its group, which bound their spend
+    below = np.zeros((m, n + 1))
+    np.cumsum(qr_sorted, axis=1, out=below[:, 1:])
+    floor = ks * group_lo + np.take_along_axis(below, group_lo, axis=1)
     live = np.ones(base.shape, dtype=bool)
-    live[2::2] = live[3::2] = ks.T > 0.0
+    live[2::2] = live[3::2] = ((ks > 0.0) & ~_overspends(floor, n, limit)).T
     row = np.flatnonzero(live)
     at = row % m
+    # the sort's and the grids' arrays are spent once the live rows are
+    # gathered; held to the end they raise a chunk's traced peak by a third
+    del qr, keys, perm, ks, group_lo, group_hi, own, below, floor, live
     p, lo, hi, pivot = base.ravel()[row], lo.ravel()[row], hi.ravel()[row], pivot.ravel()[row]
+    del base
 
     words = prefix.reshape(-1, bits.shape[1])[at * (n + 1) + pivot]
     size = pivot.copy()
@@ -844,18 +878,23 @@ def cp_exact_oracle(
     the (rows x n) accept tensor this replaced, and so is the reported
     (p, q).
 
-    Time is O(n^3 log n): O(n^2) bonuses, each one sort and O(n) rows.
-    Rows go in chunks of ``_ORACLE_CHUNK_ROWS``, which holds the traced
-    peak at 0.60-0.70 MB for n = 16-60 (0.88-1.04 MB with the tensor).
-    Oracle alone, best of 7 on one responsive pool (2-vCPU VM, numpy 2.4),
-    accept tensor -> prefix evaluation: n = 16: 4.8 -> 3.4 ms, n = 32:
-    38 -> 20 ms, n = 48: 141 -> 61 ms, n = 60: 371 -> 136 ms.
+    Bonuses and rows that must spend more than the budget are skipped
+    unbuilt, since none can be a set's cheapest price within it.
 
-    ``max_n`` defaults to ``ORACLE_LIMIT`` (64): up to there the oracle
+    Time is O(n^3 log n): O(n^2) bonuses, each one sort and O(n) rows.
+    Rows go in chunks of ``_ORACLE_CHUNK_ROWS``: a chunk costs about 80
+    numpy calls, and at 2^12 rows their overhead outweighed the
+    arithmetic.  The chunks' traced peak is 1.7-2.1 MB for n = 15-64.
+    Oracle alone, best of 7 on one responsive pool, budget 0.6 of the
+    total cost (2-vCPU VM, numpy 2.4), 2^12 unpruned -> 2^14 pruned:
+    n = 16: 2.8 -> 2.0 ms, n = 32: 17.8 -> 11.3 ms, n = 48: 58 -> 35 ms,
+    n = 64: 138 -> 80 ms.
+
+    ``max_n`` defaults to ``ORACLE_LIMIT`` (128): up to there the oracle
     takes at most twice as long as the three regime solvers that
-    ``cp_for_regime`` falls back to (median on unclassified pools: 62 vs
-    39 ms at n = 64, 587 vs 127 ms at n = 128).  Callers that accept the
-    cost past it pass ``max_n=n``.
+    ``cp_for_regime`` falls back to (median on unclassified pools: 28 vs
+    48 ms at n = 64, 242 vs 163 ms at n = 128, 699 vs 347 ms at n = 192).
+    Callers that accept the cost past it pass ``max_n=n``.
     """
     if not budget >= 0:
         raise ValueError("budget must be >= 0")

@@ -158,7 +158,7 @@ def poa_audit(
     optimum at budget delta * B must reach half the personalized optimum
     at budget B, and under an additive utility also the gamma fraction.
     The common-price optimum comes from the exact oracle, so profiles of
-    more than ``ORACLE_LIMIT`` (64) workers raise ``SizeError``.
+    more than ``ORACLE_LIMIT`` (128) workers raise ``SizeError``.
     """
     workers = sorted(workers, key=lambda w: (-bang_per_buck(w), str(w.id)))
     instance = GkpInstance(workers=tuple(workers), budget=budget, utility=utility)

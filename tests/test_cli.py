@@ -16,6 +16,7 @@ from crowdprice import (
 )
 from crowdprice.cli import main
 from crowdprice.common import ORACLE_LIMIT
+from crowdprice.errors import ConfigError
 from crowdprice.scenario import Scenario, _solve_cp
 from crowdprice.workers import Regime, empirical_regime
 
@@ -270,7 +271,8 @@ class TestSimulateCommand:
         assert (out / "result.json").exists()
         assert (out / "utilities.csv").exists()
 
-    def test_unwritable_out_exit_code(self, runner, tmp_path):
+    @staticmethod
+    def linear_sweep_config(tmp_path):
         config = {
             "population": {"generator": {"n": 6, "seed": 9}},
             "utility": {"kind": "typo", "M": 25},
@@ -279,6 +281,13 @@ class TestSimulateCommand:
         }
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        return cfg_path
+
+    def test_unwritable_out_exit_code(self, runner, tmp_path, monkeypatch):
+        # the target is refused before the scenario runs
+        cfg_path = self.linear_sweep_config(tmp_path)
+        runs = []
+        monkeypatch.setattr("crowdprice.cli.run_scenario", runs.append)
         taken = tmp_path / "taken"
         taken.write_text("not a directory", encoding="utf-8")
         for out in (taken, taken / "sub"):
@@ -286,6 +295,31 @@ class TestSimulateCommand:
             assert result.exit_code == 2
             assert "error: cannot write the results" in result.output
             assert taken.read_text(encoding="utf-8") == "not a directory"
+        assert runs == []
+
+    def test_unwritable_result_file_exit_code(self, runner, tmp_path):
+        cfg_path = self.linear_sweep_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "result.json").mkdir(parents=True)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "error: cannot write the results" in result.output
+
+    def test_failed_run_removes_only_the_directory_it_made(self, runner, tmp_path, monkeypatch):
+        cfg_path = self.linear_sweep_config(tmp_path)
+
+        def fail(scenario):
+            raise ConfigError("no run")
+
+        monkeypatch.setattr("crowdprice.cli.run_scenario", fail)
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        for out in (tmp_path / "fresh", existing):
+            result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
+            assert result.exit_code == 2
+            assert "error: no run" in result.output
+        assert not (tmp_path / "fresh").exists()
+        assert existing.is_dir()
 
     def test_config_error_exit_code(self, runner, tmp_path):
         cfg_path = tmp_path / "scenario.json"

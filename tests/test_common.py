@@ -42,6 +42,7 @@ from crowdprice.errors import SizeError
 from crowdprice.halfplane import HalfPlane
 from crowdprice.workers import empirical_regime
 from halfplane_reference import reference_feasible_point, reference_repair_strict
+from oracle_reference import reference_oracle
 from test_halfplane import check_against_reference
 
 
@@ -509,6 +510,45 @@ class TestOracleMatchesLoopReference:
             self.check(workers, budget, utility)
 
 
+def tight_budget_pools(rng, count):
+    """Pools whose budget is the exact spend of a random policy, or one ulp
+    above or below it, under typo m = 1, m = 13 and additive in turn: the
+    budgets at which a row just fits or just overspends."""
+    utilities = (make_typo(25, 1), make_typo(25, 13), make_additive())
+    for k, (workers, _, _) in enumerate(differential_pools(rng, count, 2, 40)):
+        c = max(w.cost for w in workers)
+        graded = [w.cost / w.quality for w in workers if w.quality > 0.0]
+        p, q = rng.uniform(0.0, 1.0, 2) * (c, max(graded, default=1.0))
+        spend = accepted_set(workers, (float(p), float(q)))[1]
+        for budget in (spend, float(np.nextafter(spend, np.inf)), float(np.nextafter(spend, 0.0))):
+            yield workers, budget, utilities[k % 3]
+
+
+class TestOracleMatchesUnprunedReference:
+    """``cp_exact_oracle`` skips the bonuses and rows that must overspend
+    and cuts larger chunks; ``reference_oracle`` builds every row.  Their
+    reports agree under ``==``."""
+
+    @staticmethod
+    def check(pools):
+        for workers, budget, utility in pools:
+            got = cp_exact_oracle(workers, budget, utility, max_n=len(workers))
+            assert got == reference_oracle(workers, budget, utility)
+
+    def test_differential_pools(self):
+        for seed, count, n_lo, n_hi in ((51, 64, 2, 16), (52, 6, 32, 48), (54, 2, 65, 72)):
+            self.check(differential_pools(np.random.default_rng(seed), count, n_lo, n_hi))
+
+    def test_float_boundary_pools(self):
+        self.check(boundary_pools())
+
+    def test_tight_budgets(self):
+        self.check(tight_budget_pools(np.random.default_rng(57), 24))
+
+    def test_two_word_pool_past_the_old_cap(self):
+        self.check(differential_pools(np.random.default_rng(56), 1, 96, 128))
+
+
 def loop_keys(workers, utility, budget, points):
     """The keys of the affordable probes, one ``make_report`` per probe: the
     reference for ``_Scorer.keys``.  A key is the rank the regime solvers
@@ -636,6 +676,21 @@ class TestOracleAtScale:
             utility = utilities[k % 3]
             oracle = cp_exact_oracle(workers, budget, utility)
             report = cp_res(workers, budget, utility, mode="binary", diagnostics=False)
+            assert report.utility_value == oracle.utility_value
+
+    def test_cp_subres_reaches_the_optimum(self):
+        # binary cp_subres bisects each scan, trusting that feasibility is
+        # monotone in lo
+        rng = np.random.default_rng(2027)
+        utilities = (make_typo(25, 1), make_typo(25, 13), make_additive())
+        for k in range(12):
+            curve, lo, hi = subresponsive_curve(rng)
+            n = int(rng.integers(30, 65))
+            workers = curve_profile(curve, rng, n, lo, hi)
+            budget = float(rng.uniform(0.05, 1.3) * sum(w.cost for w in workers))
+            utility = utilities[k % 3]
+            oracle = cp_exact_oracle(workers, budget, utility)
+            report = cp_subres(workers, budget, utility, mode="binary", diagnostics=False)
             assert report.utility_value == oracle.utility_value
 
 
