@@ -18,11 +18,7 @@ from pathlib import Path
 import click
 
 from .bonus import bm, invert_bm
-from .common import cp_exact_oracle, cp_for_regime, cp_no_bonus, cp_res, cp_subres, cp_unres
-from .comparisons import build_pob_instance, poa_audit, pob_ratio
 from .errors import ConfigError, InvariantBreach, SizeError
-from .personalized import GkpInstance, modified_greedy, solve_gkp_exact, solve_gkp_relaxed
-from .scenario import Scenario, emit_plot_data, run_scenario
 from .utilities import (
     audit_declared_flags,
     make_additive,
@@ -31,7 +27,9 @@ from .utilities import (
     utility_from_config,
 )
 from .workers import Regime, empirical_regime, load_workers, sort_by_bang_per_buck
-from .scenario import _cp_jsonable, _selection_jsonable
+
+# Every verb loads the modules imported above.  Each verb imports its
+# solvers itself, so a cold process loads only what its verb runs.
 
 
 def _parse_utility(spec: str):
@@ -92,6 +90,8 @@ def main() -> None:
 @_wrap
 def pp_command(workers_path: str, budget: float, utility_spec: str, mode: str) -> None:
     """Solve personalized pricing for a worker file."""
+    from .personalized import GkpInstance, modified_greedy, solve_gkp_exact, solve_gkp_relaxed
+
     workers = load_workers(workers_path)
     utility = _parse_utility(utility_spec)
     instance = GkpInstance(workers=tuple(workers), budget=budget, utility=utility)
@@ -114,7 +114,7 @@ def pp_command(workers_path: str, budget: float, utility_spec: str, mode: str) -
         selection = solve_gkp_exact(instance)
     else:
         selection = modified_greedy(instance)[0]
-    _emit(_selection_jsonable(selection, workers, mode))
+    _emit(selection.to_jsonable(workers, mode))
 
 
 _REGIME_NAMES = {
@@ -146,6 +146,8 @@ def cp_command(
     no_bonus: bool,
 ) -> None:
     """Solve common pricing for a worker file."""
+    from .common import cp_exact_oracle, cp_for_regime, cp_no_bonus, cp_res, cp_subres, cp_unres
+
     workers = load_workers(workers_path)
     utility = _parse_utility(utility_spec)
     if no_bonus:
@@ -159,7 +161,7 @@ def cp_command(
     else:
         solver = {"unres": cp_unres, "subres": cp_subres, "res": cp_res}[regime]
         report = solver(workers, budget, utility)
-    payload = _cp_jsonable(report)
+    payload = report.to_jsonable()
     payload["regime"] = regime if not (oracle or no_bonus) else None
     _emit(payload)
 
@@ -171,6 +173,8 @@ def cp_command(
 @_wrap
 def pob_command(n: int, c: float, eps: float) -> None:
     """Power-of-bonus ratio on the three-group worst-case instance."""
+    from .comparisons import build_pob_instance, pob_ratio
+
     instance = build_pob_instance(n, c, eps)
     ratio = pob_ratio(instance)
     _emit(
@@ -192,6 +196,8 @@ def pob_command(n: int, c: float, eps: float) -> None:
 @_wrap
 def poa_command(workers_path: str, budget: float, utility_spec: str) -> None:
     """Price-of-agnosticity certificate and bound check."""
+    from .comparisons import poa_audit
+
     workers = load_workers(workers_path)
     utility = _parse_utility(utility_spec)
     result = poa_audit(workers, budget, utility)
@@ -220,6 +226,8 @@ def simulate_command(config_path: str, out_dir: str | None) -> None:
     The output directory is made before the run, so an unwritable target
     fails before any work; if the run fails, a directory made here is
     removed again while it is still empty."""
+    from .scenario import Scenario, emit_plot_data, run_scenario
+
     scenario = Scenario.from_file(config_path)
     target = out_dir or scenario.output_dir or os.environ.get("CROWDPRICE_OUT", "crowdprice-out")
     outdir = Path(target)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SizeError
-from .halfplane import clip_systems, repair_vertices
+from .halfplane import _sorted_unique, clip_systems, repair_vertices
 from .utilities import MaskKernel, UtilityFunction
 from .workers import CommonPolicy, Regime, WorkerProfile, warn_if_off_regime
 
@@ -80,6 +80,21 @@ class CpSolveReport:
     spent: float
     utility_value: float
     structure: StructureClass
+
+    def to_jsonable(self) -> dict:
+        """JSON form, as ``cp`` prints it without its regime."""
+        return {
+            "base": self.policy.base,
+            "bonus": self.policy.bonus,
+            "utility": self.utility_value,
+            "spent": self.spent,
+            "accepted": list(self.accepted),
+            "structure": {
+                "kind": self.structure.kind.value,
+                "lower": self.structure.lower,
+                "upper": self.structure.upper,
+            },
+        }
 
 
 def accepted_set(
@@ -681,7 +696,7 @@ def _critical_bonuses(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     i, j = i[apart], j[apart]
     crossings = (c[i] - c[j]) / (r[i] - r[j])
     graded = r > 0.0
-    return np.unique(
+    return _sorted_unique(
         np.concatenate([[0.0], c[graded] / r[graded], crossings[crossings > 0.0]])
     )
 
@@ -911,7 +926,7 @@ def cp_exact_oracle(
 
     crit = _critical_bonuses(r, c)
     below = crit - eps
-    samples = np.unique(
+    samples = _sorted_unique(
         np.concatenate(
             [
                 crit,

@@ -38,6 +38,11 @@ ENUMERATION_LIMIT = 24
 # and ran slower), and its 1024 chunks keep the per-chunk Python cost small.
 _LOW_BITS = 14
 _DP_GRID = 10_000
+# Bound on an enumeration's kernel work: affordable subsets times the
+# outcomes each one's score sums over.  Binary labeling scores about 4.3 ns
+# per unit (n = 16, 2-vCPU VM), so the bound is about 20 s of kernel time:
+# n = 16 at any budget, n = 17..20 only where few subsets are affordable.
+EXACT_WORK_LIMIT = 2**32
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,18 @@ class Selection:
     @property
     def chosen(self) -> tuple[int, ...]:
         return tuple(i for i, xi in enumerate(self.x) if xi)
+
+    def to_jsonable(self, workers: Sequence[WorkerProfile], mode: str) -> dict:
+        """JSON form, with the zero-bonus prices that recruit the selection."""
+        policy = policy_from_selection(workers, self.x)
+        return {
+            "mode": mode,
+            "utility": self.utility_value,
+            "spent": self.spent,
+            "x": [int(v) for v in self.x],
+            "accepted_ids": [workers[i].id for i in self.chosen],
+            "policy": [[p, q] for p, q in policy.pairs],
+        }
 
 
 @dataclass(frozen=True)
@@ -221,6 +238,16 @@ def _exact_by_enumeration(instance: GkpInstance) -> Selection:
     # between are rechecked with fsum.  An infinite budget takes every
     # finite total, with no margin.
     margin = 1e-9 * max(1.0, budget) if budget < math.inf else 0.0
+    outcomes = instance.kernel.outcomes
+    if outcomes << n > EXACT_WORK_LIMIT:
+        # a key is affordable when its low-bit cost fits what its high bits leave
+        reach = np.sort(low_costs).searchsorted(budget + margin - high_costs, side="right")
+        work = int(reach.sum()) * outcomes
+        if work > EXACT_WORK_LIMIT:
+            raise SizeError(
+                f"exact solve would score {work:.3g} subset outcomes, "
+                f"over the limit of {EXACT_WORK_LIMIT:.3g}"
+            )
     best_value = -np.inf
     best_key: int | None = None
 
@@ -403,6 +430,8 @@ def solve_gkp_exact(instance: GkpInstance) -> Selection:
     subset costs of the last 14 workers plus the cost of its first ones, and
     only the rows within budget become 0/1 masks for the utility kernel.
     Rows within 1e-9 max(1, budget) of the budget are rechecked with fsum.
+    A solve whose affordable subsets times the kernel's ``outcomes`` pass
+    ``EXACT_WORK_LIMIT`` raises ``SizeError`` before any scoring.
     For additive utilities beyond 24 workers, a knapsack DP on costs scaled
     by 1e4 and rounded down, whose tables bound a branch and bound over the
     true costs whenever the DP's own set does not fit the budget

@@ -39,7 +39,6 @@ from .personalized import (
     GkpInstance,
     Selection,
     modified_greedy,
-    policy_from_selection,
     solve_gkp_exact,
 )
 from .utilities import UtilityFunction, utility_from_config
@@ -162,43 +161,16 @@ class RunResult:
                         {"id": w.id, "quality": w.quality, "cost": w.cost} for w in pt.workers
                     ],
                     "abilities": list(pt.abilities),
-                    "pp": _selection_jsonable(pt.pp, pt.workers, pt.pp_mode),
-                    "pp_no_bonus": _selection_jsonable(pt.pp_no_bonus, pt.workers, pt.pp_mode),
-                    "cp": _cp_jsonable(pt.cp),
-                    "cp_no_bonus": _cp_jsonable(pt.cp_no_bonus),
+                    "pp": pt.pp.to_jsonable(pt.workers, pt.pp_mode),
+                    "pp_no_bonus": pt.pp_no_bonus.to_jsonable(pt.workers, pt.pp_mode),
+                    "cp": pt.cp.to_jsonable(),
+                    "cp_no_bonus": pt.cp_no_bonus.to_jsonable(),
                 }
             )
         return {"metadata": self.metadata, "points": points}
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
-
-
-def _selection_jsonable(sel: Selection, workers: Sequence[WorkerProfile], mode: str) -> dict:
-    policy = policy_from_selection(workers, sel.x)
-    return {
-        "mode": mode,
-        "utility": sel.utility_value,
-        "spent": sel.spent,
-        "x": [int(v) for v in sel.x],
-        "accepted_ids": [workers[i].id for i in sel.chosen],
-        "policy": [[p, q] for p, q in policy.pairs],
-    }
-
-
-def _cp_jsonable(report: CpSolveReport) -> dict:
-    return {
-        "base": report.policy.base,
-        "bonus": report.policy.bonus,
-        "utility": report.utility_value,
-        "spent": report.spent,
-        "accepted": list(report.accepted),
-        "structure": {
-            "kind": report.structure.kind.value,
-            "lower": report.structure.lower,
-            "upper": report.structure.upper,
-        },
-    }
 
 
 def _population(scenario: Scenario) -> AbilityProfile:

@@ -45,10 +45,14 @@ class MaskKernel:
     subset t, it returns the k utilities.  ``identity`` holds the bytes of
     everything ``score`` reads, so two kernels of equal identity score
     every mask bit for bit alike; solvers may share an answer between them.
+    ``outcomes`` is the number of terms one row's score sums over beyond
+    the row itself (2^n for binary labeling), so exact solvers can bound
+    their work before they score.
     """
 
     score: Callable[[np.ndarray], np.ndarray]
     identity: bytes
+    outcomes: int = 1
 
     def __call__(self, masks: np.ndarray) -> np.ndarray:
         return self.score(masks)
@@ -223,11 +227,20 @@ def make_binary_labeling(max_n: int = 20) -> UtilityFunction:
             out[row_index] = float(np.sum(np.abs(prod_true - prod_flip)))
         return out
 
+    def bind(workers: Sequence[WorkerProfile]) -> MaskKernel:
+        qualities = np.array([w.quality for w in workers], dtype=float)
+        return MaskKernel(
+            lambda masks: batch(np.asarray(masks, dtype=bool) * qualities),
+            repr(("binary_labeling", max_n)).encode() + qualities.tobytes(),
+            outcomes=2 ** len(qualities),
+        )
+
     return UtilityFunction(
         name="binary_labeling",
         flags=UtilityFlags(subadditive=True, schur_convex=True),
         _batch=batch,
         params={"max_n": max_n},
+        _bind=bind,
     )
 
 

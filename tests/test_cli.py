@@ -195,6 +195,17 @@ class TestAnalysisCommands:
         assert result.exit_code == 0
         assert "skipped" in json.loads(result.output)
 
+    @pytest.mark.parametrize("args", [["pp", "--mode", "exact"], ["poa"]], ids=" ".join)
+    def test_binary_labeling_past_the_work_limit_exit_code(self, runner, tmp_path, args):
+        workers, budget = uniform_pool(18, 18)
+        path = write_workers(tmp_path, workers)
+        result = runner.invoke(
+            main,
+            [*args, "--workers", path, "--budget", repr(budget), "--utility", "binary_labeling"],
+        )
+        assert result.exit_code == 3
+        assert "subset outcomes" in result.output
+
 
 BUDGET_VERBS = [
     ["pp", "--mode", "exact"],
@@ -287,7 +298,7 @@ class TestSimulateCommand:
         # the target is refused before the scenario runs
         cfg_path = self.linear_sweep_config(tmp_path)
         runs = []
-        monkeypatch.setattr("crowdprice.cli.run_scenario", runs.append)
+        monkeypatch.setattr("crowdprice.scenario.run_scenario", runs.append)
         taken = tmp_path / "taken"
         taken.write_text("not a directory", encoding="utf-8")
         for out in (taken, taken / "sub"):
@@ -311,7 +322,7 @@ class TestSimulateCommand:
         def fail(scenario):
             raise ConfigError("no run")
 
-        monkeypatch.setattr("crowdprice.cli.run_scenario", fail)
+        monkeypatch.setattr("crowdprice.scenario.run_scenario", fail)
         existing = tmp_path / "existing"
         existing.mkdir()
         for out in (tmp_path / "fresh", existing):

@@ -4,6 +4,7 @@ import pytest
 from crowdprice.halfplane import (
     HalfPlane,
     _first_apart,
+    _sorted_unique,
     clip_systems,
     feasible_point,
     repair_strict,
@@ -356,3 +357,42 @@ class TestClipMatchesReference:
         assert sum(_first_apart(
             np.array([[v[0] for v in chains[0]]]), np.zeros((1, 6)), np.ones((1, 6), dtype=bool)
         )[0]) == 3
+
+
+class TestSortedUnique:
+    """The sort-and-compare unique is ``np.unique``, signed zeros included."""
+
+    @staticmethod
+    def assert_same(values):
+        got, want = _sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 48, 1000])
+    def test_random_floats(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_same(rng.normal(size=n))
+        self.assert_same(rng.uniform(-1.0, 1.0, size=(n, 3)))
+
+    def test_heavy_ties_and_exact_duplicates(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            n = int(rng.integers(0, 200))
+            pool = rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 6)))
+            self.assert_same(rng.choice(pool, size=n))
+            self.assert_same(np.repeat(rng.normal(size=3), int(rng.integers(1, 40))))
+            self.assert_same(rng.integers(-3, 4, size=n))
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 64))
+            values = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5], size=n)
+            self.assert_same(values)
+        for values in ([-0.0], [0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0, 0.0]):
+            self.assert_same(np.array(values))
+
+    def test_lengths_zero_and_one(self):
+        for values in (np.array([]), np.array([2.5]), np.array([-0.0]), np.array([], dtype=int)):
+            self.assert_same(values)

@@ -10,14 +10,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crowdprice"
 
 def unused_imports(tree: ast.Module) -> dict[str, int]:
     """Names bound by the module's imports and never loaded, with their line
-    numbers; names in ``__all__`` (re-exports) and ``from __future__``
-    imports are left out."""
+    numbers; names listed literally in ``__all__`` (re-exports) and
+    ``from __future__`` imports are left out."""
     exported: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
+            exported = {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {}
     for node in ast.walk(tree):

@@ -1,11 +1,12 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_gkp_instances
+from conftest import random_gkp_instances, uniform_pool
 from crowdprice import (
     GkpInstance,
     WorkerProfile,
@@ -183,6 +184,23 @@ class TestExactSolver:
         inst = GkpInstance(workers=workers, budget=5.0, utility=make_typo(25, 1))
         with pytest.raises(SizeError):
             solve_gkp_exact(inst)
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_binary_labeling_work_guard_refuses_before_scoring(self, n):
+        workers, budget = uniform_pool(n, n)
+        inst = GkpInstance(workers=workers, budget=budget, utility=make_binary_labeling())
+        started = time.perf_counter()
+        with pytest.raises(SizeError, match="subset outcomes"):
+            solve_gkp_exact(inst)
+        assert time.perf_counter() - started < 1.0
+
+    def test_binary_labeling_work_guard_counts_affordable_subsets(self):
+        # 17 workers, of whom only pairs of the cheapest fit: far below the
+        # limit, so the solve runs and matches enumeration
+        workers = tuple(WorkerProfile(0.3 + 0.04 * i, 1.0 + 0.01 * i, i) for i in range(17))
+        inst = GkpInstance(workers=workers, budget=2.03, utility=make_binary_labeling())
+        assert inst.kernel.outcomes << 17 > personalized.EXACT_WORK_LIMIT
+        assert solve_gkp_exact(inst) == rowwise_enumeration(inst)
 
     def test_dp_path_matches_enumeration(self):
         rng = np.random.default_rng(17)
