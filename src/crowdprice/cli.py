@@ -15,6 +15,14 @@ import os
 import sys
 from pathlib import Path
 
+# The package makes no BLAS call (tests/test_imports.py guards this), so an
+# OpenBLAS helper thread in a verb process only busy-waits.  Before numpy
+# loads, and unless the caller chose a thread count, the process runs numpy
+# on one BLAS thread.  A process that loaded numpy first is left alone.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 import click
 
 from .bonus import bm, invert_bm

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Static checks on the package source: every name a module imports is
+used in that module, no private helper is left unread, and no module calls
+BLAS."""
 
 import ast
 from pathlib import Path
@@ -82,3 +84,41 @@ def test_no_orphaned_private_helpers():
         if name not in read
     }
     assert not orphans, f"private names defined and never read: {sorted(orphans)}"
+
+
+BLAS_FUNCTIONS = {"dot", "matmul", "vdot", "inner", "tensordot"}
+
+
+def blas_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """Spots in the module that may call BLAS: the ``@`` operator, a call
+    of ``dot``/``matmul``/``vdot``/``inner``/``tensordot`` (as a name or an
+    attribute), any use of ``linalg``, and ``einsum(..., optimize=...)``,
+    as (line, what) in line order."""
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((line, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append((line, ".linalg"))
+        elif isinstance(node, ast.alias) and "linalg" in node.name.split("."):
+            found.append((line, f"import {node.name}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_FUNCTIONS:
+                found.append((line, f"{name}()"))
+            elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                found.append((line, "einsum(optimize=...)"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_blas_calls(path):
+    """The CLI runs numpy on one BLAS thread because the package makes no
+    BLAS call (``cli.py``); this keeps that premise true."""
+    found = blas_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, (
+        f"{path.name} may call BLAS at {found}: a BLAS call has to come with a "
+        "decision about the CLI's one-thread default (cli.py, README 'Cold start')"
+    )
